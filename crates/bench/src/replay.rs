@@ -29,7 +29,7 @@ use edb_core::{
     replay as session_replay, DebugRequest, Firmware, HarvesterSpec, SessionSpec, WorldSpec,
 };
 use edb_energy::SimTime;
-use edb_replay::{value_digest, Entry, Recording};
+use edb_replay::{digest, Entry, Recording};
 use serde::{Serialize, Value};
 
 use crate::runner::{ExperimentSpec, Runner};
@@ -91,7 +91,7 @@ fn fleet_digest(sim: &FleetSim) -> u64 {
             Value::Bool(t.powered),
         ]));
     }
-    value_digest(&Value::Map(vec![
+    digest(&Value::Map(vec![
         (Value::Str("now_ns".into()), Value::U64(sim.now().as_ns())),
         (Value::Str("stats".into()), stats.to_value()),
         (Value::Str("tags".into()), Value::Seq(tags)),

@@ -301,7 +301,7 @@ struct EnergyBreakpoint {
 /// [`Edb::tick`] every device step. Higher-level operations (charge,
 /// breakpoints, memory reads) are exposed for the console and the
 /// experiment harnesses.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Edb {
     config: EdbConfig,
     adc: Adc,

@@ -90,5 +90,5 @@ pub use replay::{
     VerifyReport, WorldSpec,
 };
 pub use session::{DebugSession, SessionBuilder, SessionStatus};
-pub use system::{System, SystemBuilder};
+pub use system::{System, SystemBuilder, SystemState};
 pub use wiring::{ChannelFault, ChannelFaultConfig, ConnectionKind, LineStates, Wiring};

@@ -28,15 +28,17 @@ use crate::debugger::{DebugRequest, EdbConfig, RequestId};
 use crate::error::EdbError;
 use crate::fleet::{FleetConfig, FleetSim};
 use crate::session::{DebugSession, SessionBuilder};
+use crate::system::SystemState;
 use crate::wiring::ChannelFaultConfig;
 use edb_device::DeviceConfig;
 use edb_energy::{
     ConstantCurrent, Fading, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
 };
 pub use edb_replay::Recording;
-use edb_replay::{value_digest, Entry};
+use edb_replay::{digest, Entry, SnapshotState};
 use edb_runtime::ckpt::CkptConfig;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // The rebuildable session spec
@@ -205,6 +207,26 @@ impl Serialize for SessionSpec {
             fields.push((Value::Str("ckpt".into()), self.ckpt.to_value()));
         }
         Value::Map(fields)
+    }
+
+    fn serialize(&self, sink: &mut dyn Sink) {
+        sink.map(6 + usize::from(self.ckpt.is_some()));
+        sink.str("device");
+        self.device.serialize(sink);
+        sink.str("world");
+        self.world.serialize(sink);
+        sink.str("seed");
+        self.seed.serialize(sink);
+        sink.str("edb");
+        self.edb.serialize(sink);
+        sink.str("channel_fault");
+        self.channel_fault.serialize(sink);
+        sink.str("firmware");
+        self.firmware.serialize(sink);
+        if self.ckpt.is_some() {
+            sink.str("ckpt");
+            self.ckpt.serialize(sink);
+        }
     }
 }
 
@@ -457,7 +479,10 @@ fn push_boundary(session: &mut DebugSession) {
     }
     let now_ns = session.now().as_ns();
     let entry = match snapshot_state(session) {
-        Some(state) => Entry::Snapshot { now_ns, state },
+        Some(state) => Entry::Snapshot {
+            now_ns,
+            state: SnapshotState::Shared(Arc::new(state)),
+        },
         None => Entry::Digest {
             now_ns,
             digest: session.system().state_digest(),
@@ -468,35 +493,78 @@ fn push_boundary(session: &mut DebugSession) {
     tape.entries.push(entry);
 }
 
-/// The full serialized session state: the bench plus the session-level
-/// bookkeeping (breakpoint list, guard thresholds). `None` for worlds
-/// that cannot snapshot.
-fn snapshot_state(session: &DebugSession) -> Option<Value> {
-    let sys = session.system().save_state()?;
-    Some(Value::Map(vec![
-        (Value::Str("sys".into()), sys),
-        (
-            Value::Str("breakpoints".into()),
-            session.breakpoints().to_value(),
-        ),
-        (
-            Value::Str("guards".into()),
-            session.energy_guards().to_vec().to_value(),
-        ),
-    ]))
+/// The full session state a tape snapshot holds: the bench plus the
+/// session-level bookkeeping (breakpoint list, guard thresholds).
+struct SessionState {
+    sys: SystemState,
+    breakpoints: Vec<(u8, Option<f64>)>,
+    guards: Vec<f64>,
 }
 
-/// Restores state captured by [`snapshot_state`].
-fn restore_snapshot(session: &mut DebugSession, state: &Value) -> Result<(), DeError> {
-    let field = |name: &str| {
-        state
-            .get_field(name)
-            .ok_or_else(|| DeError::new(format!("session snapshot missing `{name}`")))
+impl Serialize for SessionState {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            (Value::Str("sys".into()), self.sys.to_value()),
+            (
+                Value::Str("breakpoints".into()),
+                self.breakpoints.to_value(),
+            ),
+            (Value::Str("guards".into()), self.guards.to_value()),
+        ])
+    }
+
+    fn serialize(&self, sink: &mut dyn Sink) {
+        sink.map(3);
+        sink.str("sys");
+        self.sys.serialize(sink);
+        sink.str("breakpoints");
+        self.breakpoints.serialize(sink);
+        sink.str("guards");
+        self.guards.serialize(sink);
+    }
+}
+
+impl Deserialize for SessionState {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            v.get_field(name)
+                .ok_or_else(|| DeError::new(format!("session snapshot missing `{name}`")))
+        };
+        Ok(SessionState {
+            sys: SystemState::from_value(field("sys")?)?,
+            breakpoints: Deserialize::from_value(field("breakpoints")?)?,
+            guards: Deserialize::from_value(field("guards")?)?,
+        })
+    }
+}
+
+/// The session's full state, or `None` for worlds that cannot snapshot.
+fn snapshot_state(session: &DebugSession) -> Option<SessionState> {
+    Some(SessionState {
+        sys: session.system().snapshot()?,
+        breakpoints: session.breakpoints(),
+        guards: session.energy_guards().to_vec(),
+    })
+}
+
+/// Restores a snapshot entry's state: shared typed state from a live
+/// tape, or a tree decoded from recording bytes.
+fn restore_snapshot(session: &mut DebugSession, state: &SnapshotState) -> Result<(), DeError> {
+    let decoded;
+    let state = match state {
+        SnapshotState::Decoded(v) => {
+            decoded = SessionState::from_value(v)?;
+            &decoded
+        }
+        SnapshotState::Shared(_) => state
+            .downcast::<SessionState>()
+            .ok_or_else(|| DeError::new("snapshot holds state of another recorder"))?,
     };
-    session.system_mut().restore_state(field("sys")?)?;
-    let breakpoints = <Vec<(u8, Option<f64>)>>::from_value(field("breakpoints")?)?;
-    let guards = <Vec<f64>>::from_value(field("guards")?)?;
-    session.restore_bookkeeping(breakpoints.into_iter().collect(), guards);
+    session.system_mut().restore(&state.sys)?;
+    session.restore_bookkeeping(
+        state.breakpoints.iter().copied().collect(),
+        state.guards.clone(),
+    );
     Ok(())
 }
 
@@ -879,11 +947,11 @@ pub fn verify(recording: &Recording) -> Result<VerifyReport, EdbError> {
                 }
                 let live = snapshot_state(&session)
                     .ok_or_else(|| divergence(*now_ns, i, "world no longer supports snapshots"))?;
-                if value_digest(&live) != value_digest(state) {
+                if digest(&live) != digest(state) {
                     return Err(divergence(
                         *now_ns,
                         i,
-                        snapshot_mismatch_detail(state, &live),
+                        snapshot_mismatch_detail(&state.to_value(), &live.to_value()),
                     ));
                 }
                 report.snapshots += 1;
@@ -939,11 +1007,11 @@ fn snapshot_mismatch_detail(recorded: &Value, live: &Value) -> String {
     let mut parts = Vec::new();
     for name in ["sys", "breakpoints", "guards"] {
         match (recorded.get_field(name), live.get_field(name)) {
-            (Some(a), Some(b)) if value_digest(a) != value_digest(b) => {
+            (Some(a), Some(b)) if digest(a) != digest(b) => {
                 if name == "sys" {
                     for sub in ["device", "edb", "symbols", "obs", "world"] {
                         if let (Some(sa), Some(sb)) = (a.get_field(sub), b.get_field(sub)) {
-                            if value_digest(sa) != value_digest(sb) {
+                            if digest(sa) != digest(sb) {
                                 parts.push(format!("sys.{sub}"));
                             }
                         }
@@ -1036,7 +1104,7 @@ pub fn fleet_digest(sim: &FleetSim) -> u64 {
         ),
         (Value::Str("tags".into()), Value::Seq(tags)),
     ]);
-    value_digest(&state)
+    digest(&state)
 }
 
 /// Applies one recorded op to a live simulation — the single advance
@@ -1262,7 +1330,7 @@ mod tests {
             .rposition(|e| matches!(e, Entry::Snapshot { .. }))
             .expect("has a snapshot");
         if let Entry::Snapshot { state, .. } = &mut rec.entries[idx] {
-            *state = Value::Map(vec![(Value::Str("sys".into()), Value::Null)]);
+            *state = Value::Map(vec![(Value::Str("sys".into()), Value::Null)]).into();
         }
         let err = verify(&rec).expect_err("tamper must be caught");
         assert!(err.to_string().contains("divergence"), "{err}");
@@ -1360,7 +1428,9 @@ mod tests {
             .rposition(|e| matches!(e, Entry::Snapshot { .. }))
             .expect("has snapshots");
         if let Entry::Snapshot { state, .. } = &mut bad.entries[idx] {
-            flip_first_f64(state);
+            let mut tree = state.to_value();
+            flip_first_f64(&mut tree);
+            *state = tree.into();
         }
         let err = verify(&bad).expect_err("must diverge");
         assert!(err.to_string().contains("sys."), "{err}");

@@ -262,7 +262,7 @@ pub struct System {
 }
 
 /// Bookkeeping the observability publisher keeps between steps.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct ObsState {
     /// How much of the debugger's event log has been harvested.
     log_cursor: usize,
@@ -808,72 +808,90 @@ impl System {
         matches!(self.world, World::Harvester(_))
     }
 
-    /// Serializes the complete simulation state: device (CPU, memory,
-    /// capacitor, peripherals), debugger, harvester, symbols, and the
-    /// observability cursor. Restoring the result with
-    /// [`System::restore_state`] and stepping forward is bit-identical
-    /// to never having snapshotted (proven by test).
+    /// Captures the complete simulation state — device (CPU, memory,
+    /// capacitor, peripherals), debugger, harvester run state, symbols,
+    /// the observability cursor and the checkpoint engine — as a typed
+    /// [`SystemState`]. Restoring it with [`System::restore`] and
+    /// stepping forward is bit-identical to never having snapshotted
+    /// (proven by test).
     ///
     /// Returns `None` for benches where
     /// [`System::supports_snapshots`] is false. The recorder is *not*
     /// part of the snapshot: recording is passive by construction, so
     /// replay re-observes rather than restoring observations.
-    pub fn save_state(&self) -> Option<Value> {
+    pub fn snapshot(&self) -> Option<SystemState> {
         let World::Harvester(h) = &self.world else {
             return None;
         };
-        let mut fields = vec![
-            (Value::Str("device".into()), self.device.to_value()),
-            (Value::Str("edb".into()), self.edb.to_value()),
-            (Value::Str("symbols".into()), self.symbols.to_value()),
-            (Value::Str("obs".into()), self.obs.to_value()),
-            (Value::Str("world".into()), h.save_state()),
-        ];
-        // Benches without an engine keep the historical byte layout.
-        if let Some(engine) = &self.ckpt {
-            fields.push((Value::Str("ckpt".into()), engine.to_value()));
-        }
-        Some(Value::Map(fields))
+        Some(SystemState {
+            device: self.device.clone(),
+            edb: self.edb.clone(),
+            symbols: self.symbols.clone(),
+            obs: self.obs.clone(),
+            world: h.save_state(),
+            ckpt: self.ckpt.clone(),
+        })
     }
 
-    /// Restores state captured by [`System::save_state`] onto this bench.
-    /// The bench must have been built with the same world shape (a
-    /// harvester world); the harvester's own parameters are rebuilt by
-    /// the caller (see the replay layer's session spec) and only its
-    /// mutable run state is loaded here.
-    pub fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+    /// Restores a [`SystemState`] onto this bench. The bench must have
+    /// been built with the same world shape (a harvester world); the
+    /// harvester's own parameters are rebuilt by the caller (see the
+    /// replay layer's session spec) and only its run state is loaded
+    /// here.
+    pub fn restore(&mut self, state: &SystemState) -> Result<(), DeError> {
+        self.install(state.clone())
+    }
+
+    fn install(&mut self, state: SystemState) -> Result<(), DeError> {
         let World::Harvester(h) = &mut self.world else {
             return Err(DeError::new(
                 "RFID benches do not support snapshot restore (digest-only replay)",
             ));
         };
-        let field = |name: &str| {
-            state
-                .get_field(name)
-                .ok_or_else(|| DeError::new(format!("System state missing `{name}`")))
-        };
-        self.device = Device::from_value(field("device")?)?;
-        self.edb = <Option<Edb>>::from_value(field("edb")?)?;
-        self.symbols = <std::collections::BTreeMap<String, u16>>::from_value(field("symbols")?)?;
-        self.obs = ObsState::from_value(field("obs")?)?;
-        h.load_state(field("world")?)?;
-        self.ckpt = match state.get_field("ckpt") {
-            Some(v) => Some(CkptEngine::from_value(v)?),
-            None => None,
-        };
+        h.load_state(&state.world)?;
+        self.device = state.device;
+        self.edb = state.edb;
+        self.symbols = state.symbols;
+        self.obs = state.obs;
+        self.ckpt = state.ckpt;
         Ok(())
+    }
+
+    /// [`System::snapshot`] as a [`Value`] tree, for storage outside the
+    /// process.
+    pub fn save_state(&self) -> Option<Value> {
+        let World::Harvester(h) = &self.world else {
+            return None;
+        };
+        let world = h.save_state();
+        let view = StateView {
+            device: &self.device,
+            edb: &self.edb,
+            symbols: &self.symbols,
+            obs: &self.obs,
+            world: &world,
+            ckpt: &self.ckpt,
+        };
+        Some(view.to_value())
+    }
+
+    /// Restores a tree captured by [`System::save_state`] (see
+    /// [`System::restore`]).
+    pub fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
+        self.install(SystemState::from_value(state)?)
     }
 
     /// A deterministic 64-bit digest of the architectural state: the
     /// device (CPU registers, memory image, capacitor bits, clock) and
     /// the debugger. Computable for *every* world — RFID benches, whose
     /// recordings are digest-only, verify replay equivalence through
-    /// this value.
+    /// this value. Streams the state into the digest without building
+    /// a tree.
     pub fn state_digest(&self) -> u64 {
-        edb_replay::value_digest(&Value::Map(vec![
-            (Value::Str("device".into()), self.device.to_value()),
-            (Value::Str("edb".into()), self.edb.to_value()),
-        ]))
+        edb_replay::digest(&DigestedState {
+            device: &self.device,
+            edb: &self.edb,
+        })
     }
 
     // ---------------------------------------------------------------
@@ -1143,6 +1161,135 @@ impl Drop for System {
                 edb_obs::ambient::flush(&rec.metrics);
             }
         }
+    }
+}
+
+/// What [`System::state_digest`] covers.
+struct DigestedState<'a> {
+    device: &'a Device,
+    edb: &'a Option<Edb>,
+}
+
+impl Serialize for DigestedState<'_> {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            (Value::Str("device".into()), self.device.to_value()),
+            (Value::Str("edb".into()), self.edb.to_value()),
+        ])
+    }
+
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(2);
+        sink.str("device");
+        self.device.serialize(sink);
+        sink.str("edb");
+        self.edb.serialize(sink);
+    }
+}
+
+/// A typed snapshot of a harvester-world bench, taken by
+/// [`System::snapshot`]: the bench's own state, so taking and restoring
+/// it are clones. It serializes to the tree [`System::save_state`]
+/// returns.
+#[derive(Debug, Clone)]
+pub struct SystemState {
+    device: Device,
+    edb: Option<Edb>,
+    symbols: std::collections::BTreeMap<String, u16>,
+    obs: ObsState,
+    /// The harvester's run state, in the form harvesters save it.
+    world: Value,
+    ckpt: Option<CkptEngine>,
+}
+
+impl SystemState {
+    fn view(&self) -> StateView<'_> {
+        StateView {
+            device: &self.device,
+            edb: &self.edb,
+            symbols: &self.symbols,
+            obs: &self.obs,
+            world: &self.world,
+            ckpt: &self.ckpt,
+        }
+    }
+}
+
+impl Serialize for SystemState {
+    fn to_value(&self) -> Value {
+        self.view().to_value()
+    }
+
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        self.view().serialize(sink);
+    }
+}
+
+/// The snapshot tree over borrowed parts, so [`System::save_state`]
+/// serializes the live bench without cloning it first.
+struct StateView<'a> {
+    device: &'a Device,
+    edb: &'a Option<Edb>,
+    symbols: &'a std::collections::BTreeMap<String, u16>,
+    obs: &'a ObsState,
+    world: &'a Value,
+    ckpt: &'a Option<CkptEngine>,
+}
+
+// Hand-written so benches without a checkpoint engine keep the
+// historical byte layout: the `ckpt` key appears only when one is
+// attached.
+impl Serialize for StateView<'_> {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            (Value::Str("device".into()), self.device.to_value()),
+            (Value::Str("edb".into()), self.edb.to_value()),
+            (Value::Str("symbols".into()), self.symbols.to_value()),
+            (Value::Str("obs".into()), self.obs.to_value()),
+            (Value::Str("world".into()), self.world.clone()),
+        ];
+        if let Some(engine) = self.ckpt {
+            fields.push((Value::Str("ckpt".into()), engine.to_value()));
+        }
+        Value::Map(fields)
+    }
+
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(5 + usize::from(self.ckpt.is_some()));
+        sink.str("device");
+        self.device.serialize(sink);
+        sink.str("edb");
+        self.edb.serialize(sink);
+        sink.str("symbols");
+        self.symbols.serialize(sink);
+        sink.str("obs");
+        self.obs.serialize(sink);
+        sink.str("world");
+        self.world.serialize(sink);
+        if let Some(engine) = self.ckpt {
+            sink.str("ckpt");
+            engine.serialize(sink);
+        }
+    }
+}
+
+impl Deserialize for SystemState {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            v.get_field(name)
+                .ok_or_else(|| DeError::new(format!("System state missing `{name}`")))
+        };
+        Ok(SystemState {
+            device: Device::from_value(field("device")?)?,
+            edb: <Option<Edb>>::from_value(field("edb")?)?,
+            symbols: <std::collections::BTreeMap<String, u16>>::from_value(field("symbols")?)?,
+            obs: ObsState::from_value(field("obs")?)?,
+            world: field("world")?.clone(),
+            ckpt: v
+                .get_field("ckpt")
+                .map(CkptEngine::from_value)
+                .transpose()?,
+        })
     }
 }
 

@@ -134,6 +134,10 @@ impl Serialize for DecodeCache {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
+
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.null();
+    }
 }
 
 impl Deserialize for DecodeCache {
@@ -194,6 +198,26 @@ impl Serialize for Memory {
             fields.push((Value::Str("dirty_sram".into()), self.dirty_sram.to_value()));
         }
         Value::Map(fields)
+    }
+
+    // The same tree, with the memory images written to the sink as
+    // byte arrays.
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(5 + usize::from(self.dirty_sram.is_some()));
+        sink.str("sram");
+        sink.bytes(&self.sram);
+        sink.str("fram");
+        sink.bytes(&self.fram);
+        sink.str("bus_faults");
+        self.bus_faults.serialize(sink);
+        sink.str("last_fault_addr");
+        self.last_fault_addr.serialize(sink);
+        sink.str("decode_cache");
+        self.decode_cache.serialize(sink);
+        if let Some(dirty) = &self.dirty_sram {
+            sink.str("dirty_sram");
+            dirty.serialize(sink);
+        }
     }
 }
 

@@ -16,6 +16,11 @@
 //! layers — what a snapshot contains, how an operation re-executes —
 //! live in `edb-core`'s `replay` module and in `edb-bench`.
 //!
+//! The encoder is a [`serde::Sink`]: any `Serialize` type streams into
+//! [`CanonicalBytes`] (the encoding) or [`CanonicalDigest`] (its FNV-1a
+//! digest) without building a `Value` tree first, and a `Value` streams
+//! through the same sink, so there is exactly one encoder.
+//!
 //! # Container layout
 //!
 //! ```text
@@ -28,9 +33,11 @@
 //! payload is interpreted. Unknown chunk tags are an error: a recording
 //! is a precision artifact, not a best-effort log.
 
-use serde::Value;
+use serde::{Serialize, Sink, Value};
+use std::any::Any;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Container magic: the first four bytes of every recording.
 pub const MAGIC: [u8; 4] = *b"EDBR";
@@ -48,6 +55,19 @@ const TAG_END: u8 = 6;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME^k` for `k` in `0..=8`: folding a zero byte into FNV-1a is
+/// a bare multiply (XOR with 0 changes nothing), so a run of `k` zeros
+/// is one multiply by `FNV_PRIME^k`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// Streaming FNV-1a, the digest used for chunks and state encodings.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(u64);
@@ -60,10 +80,33 @@ impl Fnv {
 
     /// Folds `bytes` into the digest.
     pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        let mut zeros = 0usize;
         for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            if b == 0 {
+                zeros += 1;
+                continue;
+            }
+            h = fold_zeros(h, zeros);
+            zeros = 0;
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
+        self.0 = fold_zeros(h, zeros);
+    }
+
+    /// Folds one byte into the digest.
+    fn write_byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+
+    /// Folds the 8 little-endian bytes of `x`; its high zero bytes cost
+    /// one multiply.
+    fn write_u64(&mut self, x: u64) {
+        let significant = 8 - (x.leading_zeros() / 8) as usize;
+        for k in 0..significant {
+            self.write_byte((x >> (8 * k)) as u8);
+        }
+        self.0 = fold_zeros(self.0, 8 - significant);
     }
 
     /// The digest so far.
@@ -76,6 +119,16 @@ impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
     }
+}
+
+/// Folds `k` zero bytes into the FNV-1a state `h`.
+#[inline]
+fn fold_zeros(mut h: u64, mut k: usize) -> u64 {
+    while k > 8 {
+        h = h.wrapping_mul(FNV_PRIME_POW[8]);
+        k -= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[k])
 }
 
 /// FNV-1a of `bytes` in one call.
@@ -125,67 +178,160 @@ const VAL_STR: u8 = 0x06;
 const VAL_SEQ: u8 = 0x07;
 const VAL_MAP: u8 = 0x08;
 
-/// Appends the canonical binary encoding of `v` to `out`.
+/// The canonical encoder: a [`Sink`] that appends the canonical binary
+/// encoding of every streamed node to a buffer.
 ///
 /// The encoding is injective over `Value` trees and encodes floats as
 /// their `to_bits` pattern, so two states encode identically iff they
 /// are bit-identical — `-0.0` vs `0.0` and differing NaN payloads are
 /// divergences here even though `==` would blur them.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(VAL_NULL),
-        Value::Bool(false) => out.push(VAL_FALSE),
-        Value::Bool(true) => out.push(VAL_TRUE),
-        Value::U64(x) => {
-            out.push(VAL_U64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(VAL_I64);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(VAL_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(VAL_STR);
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(VAL_SEQ);
-            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(pairs) => {
-            out.push(VAL_MAP);
-            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            for (k, val) in pairs {
-                encode_value(k, out);
-                encode_value(val, out);
-            }
+#[derive(Debug)]
+pub struct CanonicalBytes<'a>(pub &'a mut Vec<u8>);
+
+impl CanonicalBytes<'_> {
+    fn header(&mut self, tag: u8, len: usize) {
+        self.0.push(tag);
+        self.0.extend_from_slice(&(len as u32).to_le_bytes());
+    }
+}
+
+impl Sink for CanonicalBytes<'_> {
+    fn null(&mut self) {
+        self.0.push(VAL_NULL);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.0.push(if v { VAL_TRUE } else { VAL_FALSE });
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.push(VAL_U64);
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.0.push(VAL_I64);
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.0.push(VAL_F64);
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.header(VAL_STR, v.len());
+        self.0.extend_from_slice(v.as_bytes());
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.header(VAL_SEQ, len);
+    }
+
+    fn map(&mut self, len: usize) {
+        self.header(VAL_MAP, len);
+    }
+
+    fn bytes(&mut self, v: &[u8]) {
+        self.header(VAL_SEQ, v.len());
+        self.0.reserve(9 * v.len());
+        for &b in v {
+            self.0.extend_from_slice(&[VAL_U64, b, 0, 0, 0, 0, 0, 0, 0]);
         }
     }
+}
+
+/// The canonical digest: a [`Sink`] folding the canonical encoding of
+/// every streamed node into FNV-1a without producing the bytes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CanonicalDigest(pub Fnv);
+
+impl Sink for CanonicalDigest {
+    fn null(&mut self) {
+        self.0.write_byte(VAL_NULL);
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.0.write_byte(if v { VAL_TRUE } else { VAL_FALSE });
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.write_byte(VAL_U64);
+        self.0.write_u64(v);
+    }
+
+    fn i64(&mut self, v: i64) {
+        self.0.write_byte(VAL_I64);
+        self.0.write_u64(v as u64);
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.0.write_byte(VAL_F64);
+        self.0.write_u64(v.to_bits());
+    }
+
+    fn str(&mut self, v: &str) {
+        self.0.write_byte(VAL_STR);
+        self.0.write(&(v.len() as u32).to_le_bytes());
+        self.0.write(v.as_bytes());
+    }
+
+    fn seq(&mut self, len: usize) {
+        self.0.write_byte(VAL_SEQ);
+        self.0.write(&(len as u32).to_le_bytes());
+    }
+
+    fn map(&mut self, len: usize) {
+        self.0.write_byte(VAL_MAP);
+        self.0.write(&(len as u32).to_le_bytes());
+    }
+
+    fn bytes(&mut self, v: &[u8]) {
+        self.seq(v.len());
+        let mut h = self.0 .0;
+        for &b in v {
+            // `VAL_U64`, the byte, then seven zero bytes.
+            h = (h ^ u64::from(VAL_U64)).wrapping_mul(FNV_PRIME);
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME_POW[8]);
+        }
+        self.0 .0 = h;
+    }
+}
+
+/// Appends the canonical encoding of `x` to `out`.
+pub fn encode<T: Serialize + ?Sized>(x: &T, out: &mut Vec<u8>) {
+    x.serialize(&mut CanonicalBytes(out));
+}
+
+/// FNV-1a digest of the canonical encoding of `x` — the "state digest"
+/// used at snapshot boundaries — computed without allocating.
+pub fn digest<T: Serialize + ?Sized>(x: &T) -> u64 {
+    let mut sink = CanonicalDigest::default();
+    x.serialize(&mut sink);
+    sink.0.finish()
 }
 
 /// The canonical encoding of `v` as an owned buffer.
 pub fn value_bytes(v: &Value) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_value(v, &mut out);
+    encode(v, &mut out);
     out
 }
 
-/// FNV-1a digest of the canonical encoding of `v` — the "state digest"
-/// used at snapshot boundaries.
-pub fn value_digest(v: &Value) -> u64 {
-    fnv1a(&value_bytes(v))
-}
+/// How deeply [`decode_value`] lets containers nest. The deepest trees
+/// the workspace writes — session snapshots, specs and ops — nest eight
+/// levels; the limit leaves wide margin while keeping a crafted
+/// recording from recursing the decoder off the end of its thread's
+/// stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// Decodes one canonical `Value` starting at `*pos`, advancing `*pos`.
+/// Containers nested deeper than [`MAX_DEPTH`] are a format error.
 pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError> {
+    decode_nested(bytes, pos, 0)
+}
+
+fn decode_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, FormatError> {
     let at = *pos;
     let tag = *bytes
         .get(at)
@@ -210,11 +356,15 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError>
             *pos = end;
             Ok(Value::Str(s))
         }
+        VAL_SEQ | VAL_MAP if depth >= MAX_DEPTH => Err(FormatError::new(
+            at,
+            format!("containers nested deeper than {MAX_DEPTH} levels"),
+        )),
         VAL_SEQ => {
             let n = take_u32(bytes, pos)? as usize;
             let mut items = Vec::new();
             for _ in 0..n {
-                items.push(decode_value(bytes, pos)?);
+                items.push(decode_nested(bytes, pos, depth + 1)?);
             }
             Ok(Value::Seq(items))
         }
@@ -222,8 +372,8 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError>
             let n = take_u32(bytes, pos)? as usize;
             let mut pairs = Vec::new();
             for _ in 0..n {
-                let k = decode_value(bytes, pos)?;
-                let v = decode_value(bytes, pos)?;
+                let k = decode_nested(bytes, pos, depth + 1)?;
+                let v = decode_nested(bytes, pos, depth + 1)?;
                 pairs.push((k, v));
             }
             Ok(Value::Map(pairs))
@@ -251,6 +401,79 @@ fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, FormatError> {
         .ok_or_else(|| FormatError::new(*pos, "truncated u64"))?;
     *pos = end;
     Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
+}
+
+// ---------------------------------------------------------------------
+// Snapshot payloads
+// ---------------------------------------------------------------------
+
+/// Typed state a recorder shares with the snapshots of its recordings:
+/// any `Serialize` type that can cross threads. Its canonical encoding
+/// and digest stream straight from the typed state.
+pub trait SharedState: Serialize + Send + Sync + Any {}
+
+impl<T: Serialize + Send + Sync + Any> SharedState for T {}
+
+/// The state a snapshot carries: a tree decoded from recording bytes,
+/// or typed state shared with the live tape that took it. Both encode
+/// to the same canonical bytes, and two payloads are equal iff their
+/// canonical bytes are.
+#[derive(Clone)]
+pub enum SnapshotState {
+    /// Decoded from a recording's bytes.
+    Decoded(Value),
+    /// Shared with the live tape; cloning is a reference-count bump.
+    Shared(Arc<dyn SharedState>),
+}
+
+impl SnapshotState {
+    /// The typed state, when shared by a live tape and of type `T`.
+    pub fn downcast<T: Any>(&self) -> Option<&T> {
+        match self {
+            SnapshotState::Decoded(_) => None,
+            SnapshotState::Shared(s) => (&**s as &dyn Any).downcast_ref(),
+        }
+    }
+}
+
+impl Serialize for SnapshotState {
+    fn to_value(&self) -> Value {
+        match self {
+            SnapshotState::Decoded(v) => v.clone(),
+            SnapshotState::Shared(s) => s.to_value(),
+        }
+    }
+
+    fn serialize(&self, sink: &mut dyn Sink) {
+        match self {
+            SnapshotState::Decoded(v) => v.serialize(sink),
+            SnapshotState::Shared(s) => s.serialize(sink),
+        }
+    }
+}
+
+impl fmt::Debug for SnapshotState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnapshotState::Decoded(v) => f.debug_tuple("Decoded").field(v).finish(),
+            SnapshotState::Shared(_) => f.write_str("Shared(..)"),
+        }
+    }
+}
+
+impl PartialEq for SnapshotState {
+    fn eq(&self, other: &Self) -> bool {
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        encode(self, &mut a);
+        encode(other, &mut b);
+        a == b
+    }
+}
+
+impl From<Value> for SnapshotState {
+    fn from(v: Value) -> Self {
+        SnapshotState::Decoded(v)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,8 +510,8 @@ pub enum Chunk {
     Snapshot {
         /// Sim time of the snapshot.
         now_ns: u64,
-        /// The serialized full state.
-        state: Value,
+        /// The full state.
+        state: SnapshotState,
     },
     /// A state digest at an operation boundary (worlds that cannot
     /// serialize in full still digest).
@@ -307,40 +530,70 @@ pub enum Chunk {
     },
 }
 
-impl Chunk {
-    fn tag(&self) -> u8 {
-        match self {
-            Chunk::Spec { .. } => TAG_SPEC,
-            Chunk::Meta { .. } => TAG_META,
-            Chunk::Op { .. } => TAG_OP,
-            Chunk::Snapshot { .. } => TAG_SNAPSHOT,
-            Chunk::Digest { .. } => TAG_DIGEST,
-            Chunk::End { .. } => TAG_END,
-        }
-    }
+/// Appends one chunk — tag, payload length, the payload `payload`
+/// writes, and the FNV-1a digest over all three — to `out`.
+fn write_chunk(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = (out.len() - start - 5) as u32;
+    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
+    let mut h = Fnv::new();
+    h.write(&out[start..]);
+    out.extend_from_slice(&h.finish().to_le_bytes());
+}
 
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+/// Appends a chunk whose payload is `now_ns` followed by `body`.
+fn write_stamped(out: &mut Vec<u8>, tag: u8, now_ns: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    write_chunk(out, tag, |out| {
+        out.extend_from_slice(&now_ns.to_le_bytes());
+        body(out);
+    });
+}
+
+fn write_header(out: &mut Vec<u8>) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes()); // flags
+}
+
+fn write_spec(out: &mut Vec<u8>, value: &Value) {
+    write_chunk(out, TAG_SPEC, |out| encode(value, out));
+}
+
+fn write_meta(out: &mut Vec<u8>, stride: u64, start_ns: u64) {
+    write_chunk(out, TAG_META, |out| {
+        out.extend_from_slice(&stride.to_le_bytes());
+        out.extend_from_slice(&start_ns.to_le_bytes());
+    });
+}
+
+fn write_op(out: &mut Vec<u8>, now_ns: u64, value: &Value) {
+    write_stamped(out, TAG_OP, now_ns, |out| encode(value, out));
+}
+
+fn write_snapshot(out: &mut Vec<u8>, now_ns: u64, state: &SnapshotState) {
+    write_stamped(out, TAG_SNAPSHOT, now_ns, |out| encode(state, out));
+}
+
+/// A `Digest` or `End` chunk.
+fn write_digest(out: &mut Vec<u8>, tag: u8, now_ns: u64, digest: u64) {
+    write_stamped(out, tag, now_ns, |out| {
+        out.extend_from_slice(&digest.to_le_bytes());
+    });
+}
+
+impl Chunk {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Chunk::Spec { value } => encode_value(value, &mut out),
-            Chunk::Meta { stride, start_ns } => {
-                out.extend_from_slice(&stride.to_le_bytes());
-                out.extend_from_slice(&start_ns.to_le_bytes());
-            }
-            Chunk::Op { now_ns, value } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                encode_value(value, &mut out);
-            }
-            Chunk::Snapshot { now_ns, state } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                encode_value(state, &mut out);
-            }
-            Chunk::Digest { now_ns, digest } | Chunk::End { now_ns, digest } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                out.extend_from_slice(&digest.to_le_bytes());
-            }
+            Chunk::Spec { value } => write_spec(out, value),
+            Chunk::Meta { stride, start_ns } => write_meta(out, *stride, *start_ns),
+            Chunk::Op { now_ns, value } => write_op(out, *now_ns, value),
+            Chunk::Snapshot { now_ns, state } => write_snapshot(out, *now_ns, state),
+            Chunk::Digest { now_ns, digest } => write_digest(out, TAG_DIGEST, *now_ns, *digest),
+            Chunk::End { now_ns, digest } => write_digest(out, TAG_END, *now_ns, *digest),
         }
-        out
     }
 
     fn decode(tag: u8, payload: &[u8], base: usize) -> Result<Chunk, FormatError> {
@@ -359,7 +612,7 @@ impl Chunk {
             },
             TAG_SNAPSHOT => Chunk::Snapshot {
                 now_ns: take_u64(payload, &mut pos)?,
-                state: decode_value(payload, &mut pos)?,
+                state: SnapshotState::Decoded(decode_value(payload, &mut pos)?),
             },
             TAG_DIGEST => Chunk::Digest {
                 now_ns: take_u64(payload, &mut pos)?,
@@ -389,21 +642,9 @@ impl Chunk {
 /// Serializes `chunks` into a complete recording byte stream.
 pub fn write_chunks(chunks: &[Chunk]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags
+    write_header(&mut out);
     for chunk in chunks {
-        let payload = chunk.payload();
-        let tag = chunk.tag();
-        let len = (payload.len() as u32).to_le_bytes();
-        let mut h = Fnv::new();
-        h.write(&[tag]);
-        h.write(&len);
-        h.write(&payload);
-        out.push(tag);
-        out.extend_from_slice(&len);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+        chunk.write(&mut out);
     }
     out
 }
@@ -486,8 +727,8 @@ pub enum Entry {
     Snapshot {
         /// Sim time of the snapshot.
         now_ns: u64,
-        /// The serialized state.
-        state: Value,
+        /// The full state.
+        state: SnapshotState,
     },
     /// A digest-only boundary.
     Digest {
@@ -515,38 +756,28 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Serializes to the container byte stream.
+    /// Serializes to the container byte stream, encoding every entry
+    /// in place.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut chunks = Vec::new();
+        let mut out = Vec::new();
+        write_header(&mut out);
         if let Some(spec) = &self.spec {
-            chunks.push(Chunk::Spec {
-                value: spec.clone(),
-            });
+            write_spec(&mut out, spec);
         }
-        chunks.push(Chunk::Meta {
-            stride: self.stride,
-            start_ns: self.start_ns,
-        });
+        write_meta(&mut out, self.stride, self.start_ns);
         for entry in &self.entries {
-            chunks.push(match entry {
-                Entry::Op { now_ns, value } => Chunk::Op {
-                    now_ns: *now_ns,
-                    value: value.clone(),
-                },
-                Entry::Snapshot { now_ns, state } => Chunk::Snapshot {
-                    now_ns: *now_ns,
-                    state: state.clone(),
-                },
-                Entry::Digest { now_ns, digest } => Chunk::Digest {
-                    now_ns: *now_ns,
-                    digest: *digest,
-                },
-            });
+            match entry {
+                Entry::Op { now_ns, value } => write_op(&mut out, *now_ns, value),
+                Entry::Snapshot { now_ns, state } => write_snapshot(&mut out, *now_ns, state),
+                Entry::Digest { now_ns, digest } => {
+                    write_digest(&mut out, TAG_DIGEST, *now_ns, *digest);
+                }
+            }
         }
         if let Some((now_ns, digest)) = self.end {
-            chunks.push(Chunk::End { now_ns, digest });
+            write_digest(&mut out, TAG_END, now_ns, digest);
         }
-        write_chunks(&chunks)
+        out
     }
 
     /// Parses a recording from the container byte stream.
@@ -630,7 +861,7 @@ mod tests {
             entries: vec![
                 Entry::Snapshot {
                     now_ns: 0,
-                    state: Value::Seq(vec![Value::U64(1), Value::F64(2.5)]),
+                    state: Value::Seq(vec![Value::U64(1), Value::F64(2.5)]).into(),
                 },
                 Entry::Op {
                     now_ns: 0,
@@ -730,7 +961,113 @@ mod tests {
         let back = decode_value(&enc, &mut pos).expect("decodes");
         assert_eq!(pos, enc.len());
         assert_eq!(back, v);
-        assert_eq!(value_digest(&back), value_digest(&v));
+        assert_eq!(digest(&back), digest(&v));
+    }
+
+    /// FNV-1a one byte at a time, as the format defines it.
+    fn naive_fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
+    }
+
+    #[test]
+    fn zero_runs_fold_into_one_multiply() {
+        let mut bytes = vec![0u8; 40];
+        bytes.extend_from_slice(&[7, 0, 0, 9, 0]);
+        bytes.extend([0; 17]);
+        bytes.push(1);
+        for cut in 0..bytes.len() {
+            for start in 0..cut {
+                assert_eq!(fnv1a(&bytes[start..cut]), naive_fnv(&bytes[start..cut]));
+            }
+        }
+    }
+
+    #[test]
+    fn both_sinks_agree_with_the_value_encoding() {
+        let memory: Vec<u8> = (0..300u32).map(|i| (i * 37 % 7) as u8).collect();
+        let v = Value::Map(vec![
+            (
+                Value::Str("mem".into()),
+                serde::Serialize::to_value(&memory),
+            ),
+            (Value::Str("f".into()), Value::F64(-0.0)),
+            (Value::Str("i".into()), Value::I64(-3)),
+            (Value::Str("u".into()), Value::U64(1 << 40)),
+            (Value::Str("b".into()), Value::Bool(true)),
+            (Value::Str("n".into()), Value::Null),
+        ]);
+        // The `bytes` fast paths match the per-item stream.
+        let mut fast = Vec::new();
+        CanonicalBytes(&mut fast).bytes(&memory);
+        let mut slow = Vec::new();
+        let mut per_item = CanonicalBytes(&mut slow);
+        per_item.seq(memory.len());
+        for &b in &memory {
+            per_item.u64(u64::from(b));
+        }
+        assert_eq!(fast, slow);
+        let mut sink = CanonicalDigest::default();
+        sink.bytes(&memory);
+        assert_eq!(sink.0.finish(), naive_fnv(&slow));
+        assert_eq!(value_bytes(&serde::Serialize::to_value(&memory)), slow);
+        // And the digest sink hashes exactly what the encoder writes.
+        assert_eq!(digest(&v), naive_fnv(&value_bytes(&v)));
+    }
+
+    #[test]
+    fn shared_and_decoded_snapshots_encode_alike() {
+        let state = vec![(1u8, Some(2.5f64)), (2, None)];
+        let shared = SnapshotState::Shared(Arc::new(state.clone()));
+        let decoded = SnapshotState::Decoded(serde::Serialize::to_value(&state));
+        assert_eq!(shared, decoded);
+        assert_eq!(digest(&shared), digest(&decoded));
+        assert_eq!(shared.downcast::<Vec<(u8, Option<f64>)>>(), Some(&state));
+        assert_eq!(decoded.downcast::<Vec<(u8, Option<f64>)>>(), None);
+        let mut rec = sample_recording();
+        rec.entries[0] = Entry::Snapshot {
+            now_ns: 0,
+            state: shared,
+        };
+        let back = Recording::from_bytes(&rec.to_bytes()).expect("parses");
+        assert_eq!(back, rec);
+        assert!(matches!(
+            &back.entries[0],
+            Entry::Snapshot {
+                state: SnapshotState::Decoded(_),
+                ..
+            }
+        ));
+    }
+
+    /// A recording whose Spec chunk is a sequence nested `depth` levels
+    /// deep, with valid chunk digests throughout.
+    fn deeply_nested_recording(depth: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_header(&mut out);
+        write_chunk(&mut out, TAG_SPEC, |out| {
+            for _ in 0..depth {
+                out.push(VAL_SEQ);
+                out.extend_from_slice(&1u32.to_le_bytes());
+            }
+            out.push(VAL_NULL);
+        });
+        write_meta(&mut out, 1, 0);
+        write_digest(&mut out, TAG_END, 0, 0);
+        out
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_a_format_error() {
+        let bytes = deeply_nested_recording(200_000);
+        assert!(bytes.len() > 1_000_000);
+        let err = Recording::from_bytes(&bytes).expect_err("too deep");
+        assert!(err.detail.contains("nested deeper"), "{err}");
+        // The limit itself still parses.
+        let rec = Recording::from_bytes(&deeply_nested_recording(MAX_DEPTH)).expect("parses");
+        assert!(rec.spec.is_some());
+        assert!(Recording::from_bytes(&deeply_nested_recording(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

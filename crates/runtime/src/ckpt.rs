@@ -475,7 +475,7 @@ pub enum Plan {
 /// form. The engine owns all mechanics (capture, atomic commit records,
 /// restore); implementations are pure decision logic plus whatever
 /// probes they arm on the target's memory.
-pub trait CheckpointStrategy: Send {
+pub trait CheckpointStrategy: Send + Sync {
     /// Which zoo member this is.
     fn kind(&self) -> StrategyKind;
 
@@ -980,6 +980,24 @@ impl Serialize for CkptEngine {
             (Value::Str("stats".into()), self.stats.to_value()),
             (Value::Str("strategy".into()), self.strategy.save()),
         ])
+    }
+
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(7);
+        sink.str("config");
+        self.config.serialize(sink);
+        sink.str("next_trigger");
+        self.next_trigger.serialize(sink);
+        sink.str("seq");
+        self.seq.serialize(sink);
+        sink.str("arena");
+        self.arena.serialize(sink);
+        sink.str("staged");
+        self.staged.serialize(sink);
+        sink.str("stats");
+        self.stats.serialize(sink);
+        sink.str("strategy");
+        self.strategy.save().serialize(sink);
     }
 }
 
