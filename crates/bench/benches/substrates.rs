@@ -158,7 +158,7 @@ fn bench_charge_convergence(c: &mut Criterion) {
                 sys.device_mut().set_v_cap(1.8);
                 sys
             },
-            |mut sys| sys.charge_to(2.4),
+            |mut sys| sys.charge_to(2.4).expect("charges"),
             BatchSize::SmallInput,
         )
     });

@@ -11,7 +11,7 @@
 use crate::harness;
 use crate::runner::{ExperimentSpec, Runner};
 use crate::Report;
-use edb_core::{libedb, DebugEvent, Edb, EdbConfig, System};
+use edb_core::{libedb, DebugEvent, Edb, EdbConfig, EdbError, System};
 use edb_device::DeviceConfig;
 use edb_energy::{SimTime, Summary};
 use edb_mcu::asm::assemble;
@@ -78,13 +78,16 @@ fn one_trial(config: EdbConfig, image: &edb_mcu::Image, seed: u64) -> Trial {
     sys.flash(image);
     sys.edb_mut().arm_energy_breakpoint(2.3);
 
-    sys.charge_to(2.4);
+    sys.charge_to(2.4).expect("charges");
     let opened = sys.wait_for_session(SimTime::from_secs(2));
     assert!(opened, "energy breakpoint must fire (seed {seed})");
     let saved_truth = sys.device().v_cap();
     // Linger in the session briefly (the paper's operator latency).
     sys.run_for(SimTime::from_ms(5));
-    sys.resume();
+    match sys.resume() {
+        Ok(()) | Err(EdbError::NoSession { .. }) => {}
+        Err(e) => panic!("resume (seed {seed}): {e}"),
+    }
     let restored_truth = sys.device().v_cap();
 
     // EDB's own view from its event log.

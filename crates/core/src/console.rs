@@ -99,12 +99,12 @@ impl Console {
             "help" => Ok(HELP.to_string()),
             "charge" => {
                 let v = parse_volts(args.first())?;
-                let got = sys.try_charge_to(v)?;
+                let got = sys.charge_to(v)?;
                 Ok(format!("charged to {got:.3} V (target {v:.3} V)"))
             }
             "discharge" => {
                 let v = parse_volts(args.first())?;
-                let got = sys.try_discharge_to(v)?;
+                let got = sys.discharge_to(v)?;
                 Ok(format!("discharged to {got:.3} V (target {v:.3} V)"))
             }
             "break" => match args {
@@ -275,7 +275,7 @@ impl Console {
                 if sys.edb().is_none_or(|e| !e.session_active()) {
                     return cerr("no active session to resume from");
                 }
-                sys.try_resume()?;
+                sys.resume()?;
                 Ok("target resumed".to_string())
             }
             "status" => {

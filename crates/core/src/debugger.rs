@@ -2,12 +2,13 @@
 //! intermittence-aware debugging primitives.
 //!
 //! [`Edb`] is the host/board side of the system. Its only *electrical*
-//! influence on the target flows through [`Edb::electrical_current`] —
-//! the charge/discharge circuit plus the sub-µA wiring leakage — so
-//! energy-interference-freedom is checkable by comparing runs with and
-//! without the debugger attached. Its *informational* inputs are the
-//! wire-observable [`DeviceEvent`]s and the debug-signal/UART queues; its
-//! decisions run on a periodic firmware tick with realistic latency.
+//! influence on the target flows through
+//! [`Edb::electrical_current_with_drain`] — the charge/discharge circuit
+//! plus the sub-µA wiring leakage — so energy-interference-freedom is
+//! checkable by comparing runs with and without the debugger attached.
+//! Its *informational* inputs are the wire-observable [`DeviceEvent`]s
+//! and the debug-signal/UART queues; its decisions run on a periodic
+//! firmware tick with realistic latency.
 
 use crate::adc::Adc;
 use crate::charge::{ChargeCircuit, ChargeMode, LevelController};
@@ -297,10 +298,10 @@ struct EnergyBreakpoint {
 ///
 /// Construct, [`attach`](Edb::attach) to an assembled image (so the
 /// debugger knows `libEDB`'s breakpoint-mask address), then let the
-/// system harness drive [`Edb::electrical_current`], [`Edb::observe`] and
-/// [`Edb::tick`] every device step. Higher-level operations (charge,
-/// breakpoints, memory reads) are exposed for the console and the
-/// experiment harnesses.
+/// system harness drive [`Edb::electrical_current_with_drain`],
+/// [`Edb::observe`] and [`Edb::tick`] every device step. Higher-level
+/// operations (charge, breakpoints, memory reads) are exposed for the
+/// console and the experiment harnesses.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Edb {
     config: EdbConfig,
@@ -756,15 +757,6 @@ impl Edb {
     // Harness-facing hooks
     // ---------------------------------------------------------------
 
-    /// The debugger's net electrical contribution to the target's storage
-    /// capacitor right now (amps, positive = charging), given the
-    /// ground-truth node voltage and line states. This is the *only*
-    /// electrical path from debugger to target.
-    pub fn electrical_current(&mut self, v_cap: f64, states: LineStates, dt: f64) -> f64 {
-        let drain = self.drain_for(states);
-        self.electrical_current_with_drain(v_cap, drain, dt)
-    }
-
     /// The passive wire drain for the given line states, memoized.
     /// `Wiring::drain_amps` is a pure function of the states, so a
     /// repeated lookup returns the identical `f64`.
@@ -779,10 +771,13 @@ impl Edb {
         }
     }
 
-    /// [`Edb::electrical_current`] with a precomputed drain (from
-    /// [`Edb::drain_for`]): the batched span path hoists the drain
-    /// lookup out of the per-quantum closure, which is sound because
-    /// line states cannot change within a span.
+    /// The debugger's net electrical contribution to the target's storage
+    /// capacitor right now (amps, positive = charging), given the
+    /// ground-truth node voltage and the passive drain for the present
+    /// line states (from [`Edb::drain_for`]). This is the *only*
+    /// electrical path from debugger to target. The system harness
+    /// looks the drain up once per span and calls this every quantum,
+    /// which is sound because line states cannot change within a span.
     pub fn electrical_current_with_drain(&mut self, v_cap: f64, drain: f64, dt: f64) -> f64 {
         let circuit = self.circuit.current_into(v_cap);
         if circuit > 0.0 {
@@ -1275,7 +1270,8 @@ mod tests {
     #[test]
     fn electrical_current_is_tiny_when_idle() {
         let mut edb = Edb::new(EdbConfig::prototype());
-        let i = edb.electrical_current(2.2, LineStates::default(), 1e-6);
+        let drain = edb.drain_for(LineStates::default());
+        let i = edb.electrical_current_with_drain(2.2, drain, 1e-6);
         assert!(i.abs() < 1e-6, "idle influence {i} A must be sub-µA");
     }
 }

@@ -387,7 +387,7 @@ impl DebugSession {
     /// the service loop) and waits for the session to close.
     pub fn resume(&mut self) -> Result<(), EdbError> {
         crate::replay::tape_op(self, &crate::replay::SessionOp::Resume);
-        let result = self.sys.try_resume();
+        let result = self.sys.resume();
         crate::replay::tape_boundary(self);
         result
     }
@@ -395,7 +395,7 @@ impl DebugSession {
     /// Charges the target to `volts` and waits for convergence.
     pub fn charge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
         crate::replay::tape_op(self, &crate::replay::SessionOp::ChargeTo { volts });
-        let result = self.sys.try_charge_to(volts);
+        let result = self.sys.charge_to(volts);
         crate::replay::tape_boundary(self);
         result
     }
@@ -403,7 +403,7 @@ impl DebugSession {
     /// Discharges the target to `volts` and waits for convergence.
     pub fn discharge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
         crate::replay::tape_op(self, &crate::replay::SessionOp::DischargeTo { volts });
-        let result = self.sys.try_discharge_to(volts);
+        let result = self.sys.discharge_to(volts);
         crate::replay::tape_boundary(self);
         result
     }

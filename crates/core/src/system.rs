@@ -396,8 +396,21 @@ impl System {
         }
     }
 
-    /// Advances the bench by one device step.
+    /// Advances the bench by exactly one device quantum (one instruction
+    /// or one idle step) and runs the observation flow after it.
     pub fn step(&mut self) -> DeviceStep {
+        self.advance(self.now())
+    }
+
+    /// Advances the bench by one *span*: a batch of device quanta ending
+    /// at [`System::span_deadline`], or a single quantum when there is no
+    /// batchable window. Both paths feed the same electrical closure and
+    /// run the same observation flow afterwards; a span is bit-identical
+    /// to stepping quantum by quantum because the device breaks it on
+    /// any port access, wire event, power edge, or CPU state change, so
+    /// `Edb::observe` (a no-op on empty event lists) and the line-state/
+    /// drain model see every change exactly when the per-step loop would.
+    fn advance(&mut self, limit: SimTime) -> DeviceStep {
         let now = self.device.now();
 
         // RF world bookkeeping before the step.
@@ -432,20 +445,32 @@ impl System {
             }
         }
 
-        // Electrical influence of the debugger.
-        let states = self.line_states();
-        let i_ext = match &mut self.edb {
-            Some(edb) => edb.electrical_current(self.device.v_cap(), states, DT_GUESS),
-            None => 0.0,
-        };
+        let deadline = self.span_deadline(limit);
 
-        let step = match &mut self.world {
-            World::Harvester(h) => self.device.step(h.as_mut(), i_ext),
-            World::Rfid { field, .. } => self.device.step(field, i_ext),
+        // Electrical influence of the debugger. Line states cannot change
+        // within a span, so the drain lookup is hoisted out of the
+        // per-quantum closure.
+        let states = self.line_states();
+        let System {
+            device, edb, world, ..
+        } = self;
+        let drain = edb.as_mut().map(|e| e.drain_for(states));
+        let mut i_ext = |v: f64| match (edb.as_mut(), drain) {
+            (Some(e), Some(d)) => e.electrical_current_with_drain(v, d, DT_GUESS),
+            _ => 0.0,
+        };
+        let source: &mut dyn Harvester = match world {
+            World::Harvester(h) => h.as_mut(),
+            World::Rfid { field, .. } => field,
+        };
+        let step = match deadline {
+            Some(deadline) => device.run_span(source, &mut i_ext, deadline),
+            None => device.step(source, i_ext(device.v_cap())),
         };
         let now = self.device.now();
 
-        // Uplink RF frames.
+        // Events only occur on a span's final quantum, so every
+        // timestamp below matches the per-step loop.
         for event in &step.events {
             if let DeviceEvent::RfTx(frame) = event {
                 if let World::Rfid {
@@ -481,24 +506,26 @@ impl System {
         step
     }
 
-    /// Advances the bench by one *span*: a batch of device quanta that is
-    /// bit-identical to calling [`System::step`] in a loop, but skips the
-    /// per-step debugger calls that are provably no-ops in between.
+    /// Where the next [`System::advance`] may batch to, or `None` for a
+    /// single quantum.
     ///
-    /// The span deadline is the earliest of `limit`, the debugger's next
-    /// wakeup ([`Edb::next_wakeup`] — before it, `Edb::tick` returns
-    /// without touching anything), and the device's next silent
-    /// peripheral deadline ([`Device::next_silent_deadline`] — before
-    /// it, the load model and line states are constant). The device
-    /// additionally breaks the span on any port access, wire event,
-    /// power edge, or CPU state change, so `Edb::observe` (a no-op on
-    /// empty event lists) and the line-state/drain model see every
-    /// change exactly when the per-step loop would.
-    ///
-    /// The RFID world polls the reader each step, so it falls back to
-    /// [`System::step`].
-    fn advance_span(&mut self, limit: SimTime) {
+    /// A single quantum is forced when `limit` is not in the future, when
+    /// the world is RFID (the reader is polled before every quantum), or
+    /// when a checkpoint engine is attached (it hooks every quantum for
+    /// instruction triggers, voltage samples and edges). Otherwise the
+    /// deadline is the earliest of `limit`, the debugger's next wakeup
+    /// ([`Edb::next_wakeup`] — before it, `Edb::tick` returns without
+    /// touching anything), the device's next silent peripheral deadline
+    /// ([`Device::next_silent_deadline`] — before it, the load model and
+    /// line states are constant) and the recorder's sampling deadline.
+    /// `run_span` is bit-identical to stepping for *any* deadline, so the
+    /// recorder's cap observes more often without changing the
+    /// simulation.
+    fn span_deadline(&self, limit: SimTime) -> Option<SimTime> {
         let now = self.device.now();
+        if limit <= now || matches!(self.world, World::Rfid { .. }) || self.ckpt.is_some() {
+            return None;
+        }
         let mut deadline = limit;
         if let Some(edb) = &self.edb {
             deadline = deadline.min(edb.next_wakeup());
@@ -506,66 +533,19 @@ impl System {
         if let Some(t) = self.device.next_silent_deadline() {
             deadline = deadline.min(t);
         }
-        // The recorder's profiler wants a boundary at its sampling
-        // cadence. `run_span` is bit-identical to stepping for *any*
-        // deadline, so this cap observes more often without changing the
-        // simulation. A deadline in the past falls through to the
-        // single-step path below, which publishes and moves it forward.
-        if let Some(rec) = &self.recorder {
-            if let Some(t) = rec.next_deadline() {
-                deadline = deadline.min(t);
-            }
+        if let Some(t) = self.recorder.as_ref().and_then(|rec| rec.next_deadline()) {
+            deadline = deadline.min(t);
         }
-        // The checkpoint engine wants its per-step hook (instruction
-        // triggers, voltage samples, edges), so an attached engine
-        // forces the stepped path.
-        if matches!(self.world, World::Rfid { .. }) || self.ckpt.is_some() || deadline <= now {
-            // No batchable window (e.g. a debugger wakeup due right
-            // now): take a single plain step, which handles it.
-            self.step();
-            return;
-        }
-
-        let states = self.line_states();
-        let System {
-            device, edb, world, ..
-        } = self;
-        let drain = edb.as_mut().map(|e| e.drain_for(states));
-        let mut i_ext = |v: f64| match (edb.as_mut(), drain) {
-            (Some(e), Some(d)) => e.electrical_current_with_drain(v, d, DT_GUESS),
-            _ => 0.0,
-        };
-        let span = match world {
-            World::Harvester(h) => device.run_span(h.as_mut(), &mut i_ext, deadline),
-            World::Rfid { .. } => unreachable!("RFID handled above"),
-        };
-        let now = self.device.now();
-
-        // Identical post-step observation flow: events only occur on the
-        // span's final quantum, so timestamps match the per-step loop.
-        for event in &span.events {
-            if let DeviceEvent::RfTx(frame) = event {
-                if let Some(edb) = &mut self.edb {
-                    edb.observe_rfid(&frame.bytes, false, frame.at);
-                }
-            }
-        }
-        if let Some(edb) = &mut self.edb {
-            edb.observe(&self.device, &span.events, now);
-            if let Some(edge) = span.power_edge {
-                edb.observe_power_edge(&mut self.device, edge, now);
-            }
-            edb.tick(&mut self.device, now);
-        }
-
-        self.publish_obs(&span.events, span.power_edge);
+        // A wakeup due right now leaves no batchable window: the single
+        // quantum handles it.
+        (deadline > now).then_some(deadline)
     }
 
     /// Runs the bench for `duration` of simulated time.
     pub fn run_for(&mut self, duration: SimTime) {
         let end = self.device.now() + duration;
         while self.device.now() < end {
-            self.advance_span(end);
+            self.advance(end);
         }
     }
 
@@ -575,31 +555,31 @@ impl System {
     /// The predicate is re-evaluated after every device step (it may
     /// watch arbitrary ground-truth state, e.g. a memory word the target
     /// writes), so this is the per-instruction path. Blocking console
-    /// operations whose predicates only change on debugger ticks use the
-    /// batched `System::run_until_edb` internally.
+    /// operations whose predicates only change on debugger ticks wait
+    /// span-at-a-time instead.
     pub fn run_until(&mut self, timeout: SimTime, mut pred: impl FnMut(&System) -> bool) -> bool {
-        let end = self.device.now() + timeout;
-        while self.device.now() < end {
-            if pred(self) {
-                return true;
-            }
-            self.step();
-        }
-        pred(self)
+        self.wait(timeout, false, |s| pred(s))
     }
 
-    /// Like [`System::run_until`] but advancing span-at-a-time, for
-    /// predicates that only depend on state the debugger mutates in
-    /// `tick`/`observe` (session flags, level-op completion, replies).
-    /// Those calls happen exactly at span boundaries, so checking there
-    /// sees every transition the per-step loop would.
-    fn run_until_edb(&mut self, timeout: SimTime, pred: impl Fn(&System) -> bool) -> bool {
+    /// Advances until `pred` holds or `timeout` elapses; returns whether
+    /// the predicate fired. With `batched`, the bench advances
+    /// span-at-a-time: sound for predicates that only depend on state
+    /// the debugger mutates in `tick`/`observe` (session flags, level-op
+    /// completion, replies), because those calls happen exactly at span
+    /// boundaries. Otherwise it advances one quantum at a time.
+    fn wait(
+        &mut self,
+        timeout: SimTime,
+        batched: bool,
+        mut pred: impl FnMut(&mut System) -> bool,
+    ) -> bool {
         let end = self.device.now() + timeout;
         while self.device.now() < end {
             if pred(self) {
                 return true;
             }
-            self.advance_span(end);
+            let limit = if batched { end } else { self.device.now() };
+            self.advance(limit);
         }
         pred(self)
     }
@@ -609,70 +589,43 @@ impl System {
     // ---------------------------------------------------------------
 
     /// Charges the target to `volts` and waits for convergence.
-    pub fn try_charge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
-        if self.edb.is_none() {
-            return Err(EdbError::NotAttached { op: "charge" });
-        }
-        let now = self.now();
-        self.edb_mut().start_charge(volts, now);
-        let ok = self.run_until_edb(SimTime::from_secs(2), |s| {
-            s.edb().is_some_and(|e| e.level_op_done())
-        });
-        if ok {
-            Ok(self.device.v_cap())
-        } else {
-            Err(EdbError::LevelNotReached { target_v: volts })
-        }
-    }
-
-    /// Discharges the target to `volts` and waits for convergence.
-    pub fn try_discharge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
-        if self.edb.is_none() {
-            return Err(EdbError::NotAttached { op: "discharge" });
-        }
-        let now = self.now();
-        self.edb_mut().start_discharge(volts, now);
-        let ok = self.run_until_edb(SimTime::from_secs(2), |s| {
-            s.edb().is_some_and(|e| e.level_op_done())
-        });
-        if ok {
-            Ok(self.device.v_cap())
-        } else {
-            Err(EdbError::LevelNotReached { target_v: volts })
-        }
-    }
-
-    /// Charges the target to `volts` and waits for convergence.
     /// Returns the ground-truth voltage afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if EDB is detached or convergence times out — use
-    /// [`System::try_charge_to`] for a typed error instead.
-    pub fn charge_to(&mut self, volts: f64) -> f64 {
-        match self.try_charge_to(volts) {
-            Ok(v) => v,
-            Err(e) => panic!("charge to {volts} V: {e}"),
-        }
+    pub fn charge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
+        self.level_op("charge", volts, Edb::start_charge)
     }
 
     /// Discharges the target to `volts` and waits for convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if EDB is detached or convergence times out — use
-    /// [`System::try_discharge_to`] for a typed error instead.
-    pub fn discharge_to(&mut self, volts: f64) -> f64 {
-        match self.try_discharge_to(volts) {
-            Ok(v) => v,
-            Err(e) => panic!("discharge to {volts} V: {e}"),
+    /// Returns the ground-truth voltage afterwards.
+    pub fn discharge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
+        self.level_op("discharge", volts, Edb::start_discharge)
+    }
+
+    /// Starts a charge or discharge with `start` and waits for the
+    /// debugger's level controller to converge.
+    fn level_op(
+        &mut self,
+        op: &'static str,
+        volts: f64,
+        start: fn(&mut Edb, f64, SimTime),
+    ) -> Result<f64, EdbError> {
+        let now = self.now();
+        let Some(edb) = &mut self.edb else {
+            return Err(EdbError::NotAttached { op });
+        };
+        start(edb, volts, now);
+        if self.wait(SimTime::from_secs(2), true, |s| {
+            s.edb().is_some_and(Edb::level_op_done)
+        }) {
+            Ok(self.device.v_cap())
+        } else {
+            Err(EdbError::LevelNotReached { target_v: volts })
         }
     }
 
     /// Waits for an interactive session to open (assert, breakpoint, or
     /// energy breakpoint), up to `timeout`.
     pub fn wait_for_session(&mut self, timeout: SimTime) -> bool {
-        self.run_until_edb(timeout, |s| s.edb().is_some_and(|e| e.session_active()))
+        self.wait(timeout, true, |s| s.edb().is_some_and(Edb::session_active))
     }
 
     /// One complete typed exchange: submit the request, then drive the
@@ -687,38 +640,31 @@ impl System {
     /// pair directly.
     pub fn perform(&mut self, request: DebugRequest) -> Result<DebugResponse, EdbError> {
         let op = request.name();
-        let Some(edb) = self.edb.as_ref() else {
+        let now = self.now();
+        let System { edb, device, .. } = self;
+        let Some(edb) = edb else {
             return Err(EdbError::NotAttached { op });
         };
         if !edb.session_active() {
             return Err(EdbError::NoSession { op });
         }
         let config = edb.config();
-        let now = self.now();
-        let id = {
-            let System { edb, device, .. } = self;
-            edb.as_mut().expect("attached").submit(device, request, now)
-        };
+        let id = edb.submit(device, request, now);
         let budget = config.cmd_timeout.as_ns() * (u64::from(config.cmd_retries) + 2);
-        let deadline = now + SimTime::from_ns(budget) + SimTime::from_ms(50);
-        while self.now() < deadline {
-            match self.edb_mut().poll(id) {
-                SessionPoll::Ready(outcome) => return outcome,
-                SessionPoll::Superseded => {
-                    return Err(EdbError::Busy { cmd: op });
-                }
-                SessionPoll::Pending { .. } => {}
-            }
-            self.advance_span(deadline);
-        }
-        match self.edb_mut().poll(id) {
-            SessionPoll::Ready(outcome) => outcome,
-            SessionPoll::Superseded => Err(EdbError::Busy { cmd: op }),
-            SessionPoll::Pending { .. } => {
-                let attempts = self.edb_mut().cancel_command();
-                Err(EdbError::CommandTimeout { cmd: op, attempts })
-            }
-        }
+        let timeout = SimTime::from_ns(budget) + SimTime::from_ms(50);
+        let mut outcome = None;
+        self.wait(timeout, true, |s| {
+            outcome = match s.edb_mut().poll(id) {
+                SessionPoll::Pending { .. } => return false,
+                SessionPoll::Ready(result) => Some(result),
+                SessionPoll::Superseded => Some(Err(EdbError::Busy { cmd: op })),
+            };
+            true
+        });
+        outcome.unwrap_or_else(|| {
+            let attempts = self.edb_mut().cancel_command();
+            Err(EdbError::CommandTimeout { cmd: op, attempts })
+        })
     }
 
     /// Reads a word of target memory through the live debug protocol.
@@ -760,36 +706,21 @@ impl System {
 
     /// Resumes the target from a session: restore energy, release the
     /// service loop, wait for the session to close.
-    pub fn try_resume(&mut self) -> Result<(), EdbError> {
-        let Some(edb) = self.edb.as_ref() else {
+    pub fn resume(&mut self) -> Result<(), EdbError> {
+        let now = self.now();
+        let Some(edb) = &mut self.edb else {
             return Err(EdbError::NotAttached { op: "resume" });
         };
         if !edb.session_active() {
             return Err(EdbError::NoSession { op: "resume" });
         }
-        let now = self.now();
-        self.edb_mut().resume(now);
-        let ok = self.run_until_edb(SimTime::from_secs(1), |s| {
+        edb.resume(now);
+        if self.wait(SimTime::from_secs(1), true, |s| {
             s.edb().is_some_and(|e| !e.session_active())
-        });
-        if ok {
+        }) {
             Ok(())
         } else {
             Err(EdbError::SessionDidNotClose)
-        }
-    }
-
-    /// Resumes the target from a session, tolerating "nothing to resume"
-    /// (no debugger, no session).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a session exists but does not close — use
-    /// [`System::try_resume`] for a typed error instead.
-    pub fn resume(&mut self) {
-        match self.try_resume() {
-            Ok(()) | Err(EdbError::NotAttached { .. } | EdbError::NoSession { .. }) => {}
-            Err(e) => panic!("resume: {e}"),
         }
     }
 
@@ -1322,7 +1253,7 @@ mod tests {
             .word main
             "#,
         );
-        let v = sys.charge_to(2.45);
+        let v = sys.charge_to(2.45).expect("charges");
         assert!(v >= 2.4, "charged to {v}");
         assert!(sys.device().powered());
     }
@@ -1337,8 +1268,8 @@ mod tests {
             .word main
             "#,
         );
-        sys.charge_to(2.45);
-        let v = sys.discharge_to(2.0);
+        sys.charge_to(2.45).expect("charges");
+        let v = sys.discharge_to(2.0).expect("discharges");
         assert!((1.9..2.1).contains(&v), "discharged to {v}");
     }
 
@@ -1361,7 +1292,7 @@ mod tests {
             .word main
             "#,
         );
-        sys.charge_to(2.45);
+        sys.charge_to(2.45).expect("charges");
         assert!(
             sys.wait_for_session(SimTime::from_ms(100)),
             "assert must open a session"
@@ -1396,7 +1327,7 @@ mod tests {
             .word main
             "#,
         );
-        sys.charge_to(2.45);
+        sys.charge_to(2.45).expect("charges");
         assert!(sys.wait_for_session(SimTime::from_ms(100)));
         let value = sys.read_word(0x6000).expect("read completes");
         assert_eq!(value, 0x5AFE);
@@ -1430,7 +1361,7 @@ mod tests {
             .word main
             "#,
         );
-        sys.charge_to(2.45);
+        sys.charge_to(2.45).expect("charges");
         let ok = sys.run_until(SimTime::from_ms(400), |s| {
             s.device().mem().peek_word(0x6000) == 0xCAFE
         });
@@ -1718,6 +1649,64 @@ mod tests {
     #[should_panic(expected = "energy world")]
     fn builder_requires_an_energy_world() {
         let _ = System::builder(DeviceConfig::wisp5()).build();
+    }
+
+    #[test]
+    fn step_is_exactly_one_quantum() {
+        // `step` is `advance(now)`. Whatever the bench, it must take one
+        // instruction or one idle quantum, never a span: the fuzzer's
+        // `system` arm uses the step loop as the per-quantum reference.
+        let app = r#"
+            .org 0x4400
+            main:
+                movi sp, 0x2400
+            loop:
+                add  r0, 1
+                movi r1, 1
+                out  0x02, r1      ; code marker
+                jmp  loop
+            .org 0xFFFE
+            .word main
+        "#;
+        let image = assemble(&libedb::wrap_program(app)).expect("assembles");
+        let config = DeviceConfig::wisp5();
+        let cycle_ns = (1e9 / config.clock_hz).round() as u64;
+        let idle_ns = config.idle_step.as_ns();
+
+        let mut open = flashed_system(app);
+        open.detach_edb();
+        let far = SimTime::from_secs(10);
+        assert_eq!(open.span_deadline(far), Some(far), "span window wide open");
+        let mut rfid = System::builder(config).rfid(1.0).seed(42).build();
+        rfid.flash(&image);
+        let mut ckpt = System::builder(config)
+            .harvester(edb_energy::TheveninSource::new(3.2, 1500.0))
+            .with_checkpoint_strategy(CkptConfig::new(
+                edb_runtime::ckpt::StrategyKind::Differential,
+            ))
+            .build();
+        ckpt.flash(&image);
+
+        for (name, mut sys) in [("harvester", open), ("rfid", rfid), ("differential", ckpt)] {
+            let (mut idle, mut ran) = (0u64, 0u64);
+            while ran < 2_000 && sys.now() < SimTime::from_ms(400) {
+                let instructions = sys.device().total_instructions();
+                let cycles = sys.device().cpu().cycles;
+                let step = sys.step();
+                let retired = sys.device().total_instructions() - instructions;
+                assert!(retired <= 1, "{name}: one step retired {retired}");
+                assert_eq!(step.retired.is_some(), retired == 1, "{name}");
+                let elapsed = step.elapsed.as_ns();
+                let spent = sys.device().cpu().cycles.saturating_sub(cycles).max(1);
+                if elapsed == idle_ns {
+                    idle += 1;
+                } else {
+                    assert_eq!(elapsed, spent * cycle_ns, "{name}: not one quantum");
+                }
+                ran += retired;
+            }
+            assert!(idle > 0 && ran >= 2_000, "{name}: idle {idle}, ran {ran}");
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ fn edb_serves_a_non_wisp_target_profile() {
     sys.flash(&image);
     // Charge below the turn-on threshold first (deterministic, no app
     // guard traffic), then let the strong solar source carry it up.
-    let v = sys.charge_to(2.7);
+    let v = sys.charge_to(2.7).expect("charges");
     assert!(v >= 2.65, "charged a 100 µF store to {v}");
     sys.run_until(SimTime::from_secs(1), |s| s.device().powered());
     assert!(sys.device().powered());
@@ -110,14 +110,14 @@ fn edb_serves_a_non_wisp_target_profile() {
 #[test]
 fn charge_delivery_accounting_tracks_the_tether() {
     let mut sys = spin_system();
-    sys.charge_to(2.4);
+    sys.charge_to(2.4).expect("charges");
     let before = sys.edb().unwrap().charge_delivered();
     // The harvester supplies much of the swing; EDB's circuit tops it
     // off — tens of microcoulombs at least.
     assert!(before > 1e-5, "charging delivered {before} C");
     // Further charging keeps accumulating.
-    sys.discharge_to(2.0);
-    sys.charge_to(2.4);
+    sys.discharge_to(2.0).expect("discharges");
+    sys.charge_to(2.4).expect("charges");
     let after = sys.edb().unwrap().charge_delivered();
     assert!(
         after > before,

@@ -12,9 +12,10 @@
 //!    the cache vs. per-step cold decode. Capacitor voltage is compared
 //!    to the last bit, along with every wire-observable event.
 //! 3. **`system`** — the whole bench with EDB attached:
-//!    `System::run_for` (batched `advance_span` underneath) vs. a
-//!    manual `step()` loop, compared on energy, time, instruction and
-//!    reboot counts, and the debugger's own observations.
+//!    `System::run_for` (batched `Device::run_span` spans) vs. a manual
+//!    `step()` loop (one `Device::step` quantum each), both through
+//!    `System`'s one observation flow, compared on energy, time,
+//!    instruction and reboot counts, and the debugger's own observations.
 
 use crate::gen::Program;
 use edb_device::{Device, DeviceConfig, DeviceEvent};

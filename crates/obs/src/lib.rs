@@ -399,8 +399,8 @@ impl Recorder {
     }
 
     /// The earliest simulation time at which this recorder wants to be
-    /// offered another sample — the span batcher caps its deadline here
-    /// so the profiler sees boundaries at its configured resolution.
+    /// offered another sample — `System::span_deadline` caps each span
+    /// here so the profiler sees boundaries at its configured resolution.
     /// (Extra span breaks are bit-identity-safe by the `run_span`
     /// contract.) `None` when nothing is sampling.
     pub fn next_deadline(&self) -> Option<SimTime> {

@@ -17,7 +17,7 @@
 //! at any worker-pool width.
 
 use crate::rpc::{
-    self, notification_line, obj, param_bool, param_f64, param_str, param_u16, param_u64,
+    self, notification_line, obj, param_bool, param_f64, param_ms, param_str, param_u16, param_u64,
     parse_request, RpcError, RpcRequest,
 };
 use edb_core::fleet::{FleetConfig, FleetSim};
@@ -427,11 +427,11 @@ impl SessionHub {
                 Ok(obj(vec![("session", Value::U64(sid)), ("tags", echo)]))
             }
             "run_until" => {
-                let ms = param_u64(p, "ms")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `ms`"))?;
                 let session = self.attached_session(conn)?;
                 let mut session = session.lock().expect("session lock");
-                let opened = session.run_until_session(SimTime::from_ms(ms));
+                let timeout = param_ms(p, "ms", session.now())?
+                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `ms`"))?;
+                let opened = session.run_until_session(timeout);
                 let mut status = session.status().to_value();
                 push_field(&mut status, "session_opened", Value::Bool(opened));
                 Ok(status)
@@ -562,15 +562,14 @@ impl SessionHub {
                 Ok(status)
             }
             "goto_time" => {
-                let target = match (param_u64(p, "ns"), param_u64(p, "ms")) {
-                    (Some(ns), _) => SimTime::from_ns(ns),
-                    (None, Some(ms)) => SimTime::from_ms(ms),
-                    (None, None) => {
-                        return Err(RpcError::protocol(
+                let target = match param_u64(p, "ns") {
+                    Some(ns) => SimTime::from_ns(ns),
+                    None => param_ms(p, "ms", SimTime::ZERO)?.ok_or_else(|| {
+                        RpcError::protocol(
                             rpc::INVALID_PARAMS,
                             "need `ns` or `ms` (absolute sim time)",
-                        ))
-                    }
+                        )
+                    })?,
                 };
                 let session = self.attached_session(conn)?;
                 let mut session = session.lock().expect("session lock");
@@ -682,8 +681,8 @@ impl SessionHub {
                 }
                 let seed = param_u64(p, "seed").unwrap_or(1);
                 let mut config = FleetConfig::standard(tags);
-                if let Some(ms) = param_u64(p, "duration_ms") {
-                    config.duration = SimTime::from_ms(ms);
+                if let Some(t) = param_ms(p, "duration_ms", SimTime::ZERO)? {
+                    config.duration = t;
                 }
                 if let Some(d) = param_f64(p, "d_min") {
                     config.d_min = d;
@@ -723,8 +722,8 @@ impl SessionHub {
                     .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `fleet`"))?;
                 let entry = self.fleet(fid)?;
                 let mut entry = entry.lock().expect("fleet lock");
-                let op = match (param_u64(p, "ms"), param_u64(p, "slots")) {
-                    (Some(ms), _) => FleetOp::RunMs(ms),
+                let op = match (param_ms(p, "ms", entry.sim.now())?, param_u64(p, "slots")) {
+                    (Some(t), _) => FleetOp::RunMs(t.as_ns() / 1_000_000),
                     (None, Some(slots)) => FleetOp::RunSlots(slots),
                     (None, None) => {
                         return Err(RpcError::protocol(
@@ -920,8 +919,8 @@ impl SessionHub {
             spec.build()
         }
         .map_err(|e| RpcError::engine(&e))?;
-        let opened = match param_u64(p, "wait_session_ms") {
-            Some(ms) => session.run_until_session(SimTime::from_ms(ms)),
+        let opened = match param_ms(p, "wait_session_ms", session.now())? {
+            Some(timeout) => session.run_until_session(timeout),
             None => false,
         };
         let sid = {
@@ -1065,6 +1064,44 @@ mod tests {
         assert!(err.contains(r#""code":-32602"#), "{err}");
         let err = call(&hub, &mut conn, 3, "read", r#"{"addr":99999}"#);
         assert!(err.contains(r#""code":-32602"#), "{err}");
+
+        // Durations whose nanoseconds overflow `u64`, or that would carry
+        // the clock past it, are rejected before they reach a session,
+        // and the session keeps answering afterwards.
+        let create = |wait_ms: u64| {
+            format!(
+                r#"{{"firmware":"assert","harvester":{{"voc":3.2,"r":220.0}},"wait_session_ms":{wait_ms}}}"#
+            )
+        };
+        let max = u64::MAX;
+        let err = call(&hub, &mut conn, 4, "create", &create(max));
+        assert!(err.contains(r#""code":-32602"#), "{err}");
+        assert_eq!(hub.session_count(), 0, "a rejected create adds no session");
+        let created = call(&hub, &mut conn, 5, "create", &create(2000));
+        assert!(created.contains(r#""session_active":true"#), "{created}");
+        let past_the_clock = max / 1_000_000; // fits in ns, but not added to `now`
+        for (id, method, params) in [
+            (6, "run_until", format!(r#"{{"ms":{max}}}"#)),
+            (7, "run_until", format!(r#"{{"ms":{past_the_clock}}}"#)),
+            (8, "goto_time", format!(r#"{{"ms":{max}}}"#)),
+            (
+                9,
+                "fleet_create",
+                format!(r#"{{"tags":4,"duration_ms":{max}}}"#),
+            ),
+        ] {
+            let err = call(&hub, &mut conn, id, method, &params);
+            assert!(err.contains(r#""code":-32602"#), "{method} {params}: {err}");
+            let status = call(&hub, &mut conn, 100 + id, "status", "{}");
+            assert!(status.contains(r#""session_active":true"#), "{status}");
+        }
+        let fleet = call(&hub, &mut conn, 10, "fleet_create", r#"{"tags":4}"#);
+        assert!(fleet.contains(r#""fleet":1"#), "{fleet}");
+        let params = format!(r#"{{"fleet":1,"ms":{max}}}"#);
+        let err = call(&hub, &mut conn, 11, "fleet_run", &params);
+        assert!(err.contains(r#""code":-32602"#), "{err}");
+        let ran = call(&hub, &mut conn, 12, "fleet_run", r#"{"fleet":1,"ms":5}"#);
+        assert!(ran.contains(r#""result""#), "{ran}");
     }
 
     #[test]

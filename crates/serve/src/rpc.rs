@@ -13,6 +13,7 @@
 //! `edb_errors_round_trip_the_wire` test holds every variant to that).
 
 use edb_core::EdbError;
+use edb_energy::SimTime;
 use serde::{Deserialize, Serialize, Value};
 
 /// The JSON-RPC protocol version string.
@@ -206,6 +207,30 @@ pub fn param_u64(params: &Value, name: &str) -> Option<u64> {
         Some(Value::U64(n)) => Some(*n),
         _ => None,
     }
+}
+
+/// Reads a millisecond duration parameter as simulated time, to be
+/// counted from the clock reading `from`. Like [`param_u64`], a missing
+/// or non-integer value reads as `None`; a duration whose nanoseconds
+/// overflow `u64`, or that would carry the clock past `u64::MAX`, is an
+/// `INVALID_PARAMS` error.
+pub(crate) fn param_ms(
+    params: &Value,
+    name: &str,
+    from: SimTime,
+) -> Result<Option<SimTime>, RpcError> {
+    let Some(ms) = param_u64(params, name) else {
+        return Ok(None);
+    };
+    ms.checked_mul(1_000_000)
+        .filter(|ns| from.as_ns().checked_add(*ns).is_some())
+        .map(|ns| Some(SimTime::from_ns(ns)))
+        .ok_or_else(|| {
+            RpcError::protocol(
+                INVALID_PARAMS,
+                format!("`{name}` = {ms} ms overflows the simulation clock"),
+            )
+        })
 }
 
 /// Reads a float parameter (integers coerce).

@@ -38,7 +38,7 @@ fn keep_alive_assert_preempts_the_crash_and_allows_diagnosis() {
     sys.write_word(ll::TAILP, tail_next).expect("write");
     sys.write_word(tail_next.wrapping_add(ll::NODE_NEXT), 0)
         .expect("write");
-    sys.resume();
+    sys.resume().expect("session closes");
     let iters_now = sys.device().mem().peek_word(ll::ITER_COUNT);
     sys.run_for(SimTime::from_ms(100));
     assert!(
@@ -70,7 +70,7 @@ fn energy_breakpoint_fires_at_the_threshold() {
         .build();
     sys.flash(&image);
     sys.edb_mut().arm_energy_breakpoint(2.1);
-    sys.charge_to(2.4);
+    sys.charge_to(2.4).expect("charges");
     assert!(sys.wait_for_session(SimTime::from_secs(2)));
     // The session opened within the control error of the threshold.
     let v = sys.device().v_cap();
@@ -78,10 +78,10 @@ fn energy_breakpoint_fires_at_the_threshold() {
         (2.0..2.25).contains(&v),
         "session opened at {v} V, armed at 2.1 V"
     );
-    sys.resume();
+    sys.resume().expect("session closes");
     // After resume, execution continues and the breakpoint re-arms: it
     // fires again on the next pass through 2.1 V.
-    sys.charge_to(2.4);
+    sys.charge_to(2.4).expect("charges");
     assert!(
         sys.wait_for_session(SimTime::from_secs(2)),
         "re-armed and re-fired"
@@ -118,7 +118,7 @@ fn combined_breakpoint_respects_the_energy_condition() {
         let (edb, dev) = sys.edb_and_device().expect("attached");
         edb.enable_breakpoint(dev, 1, Some(2.0));
     }
-    sys.charge_to(2.4);
+    sys.charge_to(2.4).expect("charges");
     let hit = sys.run_until(SimTime::from_secs(2), |s| {
         s.edb().is_some_and(|e| e.session_active())
     });
