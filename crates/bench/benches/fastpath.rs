@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use edb_core::System;
-use edb_device::{Device, DeviceConfig};
+use edb_device::{Device, DeviceConfig, Horizon};
 use edb_energy::{Fading, SimTime, TheveninSource};
 use edb_mcu::asm::assemble;
 use edb_mcu::{Cpu, Memory, NullBus};
@@ -233,7 +233,7 @@ fn bench_batched_integration(c: &mut Criterion) {
                     if cap <= dev.now() {
                         dev.step(&mut src, 0.0);
                     } else {
-                        dev.run_span(&mut src, &mut i_ext, cap);
+                        dev.run_span(&mut src, &mut i_ext, &Horizon::until(cap));
                     }
                 }
                 dev.total_instructions()

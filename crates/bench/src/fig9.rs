@@ -42,20 +42,20 @@ fn run_variant(variant: Variant, budget: SimTime) -> (u16, u16, bool, u64, u64) 
         .harvester(harness::harvested(9))
         .build();
     sys.flash(&fib::image(variant));
+    // Stall detector: the item count has not moved for 2 s of simulated
+    // time. Evaluated after every quantum, so the stall lands on the
+    // same instruction however the bench batches in between.
     let mut last_count = 0u16;
     let mut last_change = SimTime::ZERO;
-    let mut stalled = false;
-    while sys.now() < budget {
-        sys.step();
-        let c = sys.device().mem().peek_word(fib::COUNT);
+    let stalled = sys.run_until(budget, |s| {
+        let c = s.device().mem().peek_word(fib::COUNT);
         if c != last_count {
             last_count = c;
-            last_change = sys.now();
-        } else if sys.now().since(last_change) > SimTime::from_secs(2) {
-            stalled = true;
-            break;
+            last_change = s.now();
+            return false;
         }
-    }
+        s.now().since(last_change) > SimTime::from_secs(2)
+    });
     let count = sys.device().mem().peek_word(fib::COUNT);
     let violations = sys.device().mem().peek_word(fib::VIOLATIONS);
     let guards = sys

@@ -567,6 +567,13 @@ impl Edb {
         }
     }
 
+    /// Whether request `id` is still in flight: [`Edb::poll`] would
+    /// answer `Pending`. Unlike `poll`, this consumes nothing.
+    pub(crate) fn is_pending(&self, id: RequestId) -> bool {
+        self.finished.as_ref().is_none_or(|fin| fin.id != id)
+            && self.inflight.as_ref().is_some_and(|fl| fl.id == id)
+    }
+
     /// Logs and discards a stale in-flight exchange, and clears the
     /// finished slot and outcome, making way for a new submission.
     fn preempt_stale(&mut self, now: SimTime) {
@@ -632,7 +639,7 @@ impl Edb {
             fl.attempts += 1;
             fl.decoder.reset();
             fl.resend_at = None;
-            fl.attempt_deadline = now + self.config.cmd_timeout;
+            fl.attempt_deadline = now.saturating_add(self.config.cmd_timeout);
             (fl.cmd.encode(), fl.cmd.name(), fl.attempts)
         };
         if attempts > 1 {
@@ -650,7 +657,7 @@ impl Edb {
     /// Schedules a retry with deterministic backoff, or aborts with
     /// `error` once the budget (`1 + cmd_retries` attempts) is spent.
     fn retry_or_abort(&mut self, now: SimTime, error: EdbError) {
-        let budget = self.config.cmd_retries + 1;
+        let budget = self.config.cmd_retries.saturating_add(1);
         let exhausted = self
             .inflight
             .as_ref()
@@ -667,8 +674,8 @@ impl Edb {
             // only on this (faulty) path — clean runs never touch it.
             let ticks = self.retry_rng.gen_range(1..=4u64);
             fl.resend_at = Some(
-                now + self.config.retry_flush
-                    + SimTime::from_ns(self.config.tick_period.as_ns() * ticks),
+                now.saturating_add(self.config.retry_flush)
+                    .saturating_add(SimTime::from_ns(self.config.tick_period.as_ns() * ticks)),
             );
         }
     }
@@ -883,10 +890,12 @@ impl Edb {
             fl.decoder.reset();
             fl.resend_at = None;
             fl.await_service = true;
-            fl.park_deadline = at
-                + SimTime::from_ns(
-                    self.config.cmd_timeout.as_ns() * (u64::from(self.config.cmd_retries) + 2),
-                );
+            fl.park_deadline = at.saturating_add(SimTime::from_ns(
+                self.config
+                    .cmd_timeout
+                    .as_ns()
+                    .saturating_mul(u64::from(self.config.cmd_retries) + 2),
+            ));
         }
     }
 

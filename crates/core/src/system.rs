@@ -10,7 +10,7 @@ use crate::debugger::{DebugRequest, DebugResponse, Edb, EdbConfig, SessionPoll};
 use crate::error::EdbError;
 use crate::events::{DebugEvent, LoggedEvent};
 use crate::wiring::{ChannelFaultConfig, LineStates};
-use edb_device::{Device, DeviceConfig, DeviceEvent, DeviceStep};
+use edb_device::{Device, DeviceConfig, DeviceEvent, DeviceStep, Horizon, Span};
 use edb_energy::RfField;
 use edb_energy::{Harvester, PowerEdge, SimTime};
 use edb_obs::{Category, Recorder, RecorderConfig};
@@ -293,6 +293,23 @@ const VCAP_BOUNDS: &[f64] = &[1.8, 2.0, 2.2, 2.4, 2.6, 2.8, 3.0];
 /// quantum `dt`s).
 const DT_GUESS: f64 = 1e-6;
 
+/// The debugger's electrical influence per quantum, given the drain
+/// [`System::advance`] hoisted for the span (`None` without a debugger).
+fn electrical(edb: &mut Option<Edb>, drain: Option<f64>) -> impl FnMut(f64) -> f64 + '_ {
+    move |v| match (edb.as_mut(), drain) {
+        (Some(e), Some(d)) => e.electrical_current_with_drain(v, d, DT_GUESS),
+        _ => 0.0,
+    }
+}
+
+/// What charges the capacitor in `world`.
+fn source(world: &mut World) -> &mut dyn Harvester {
+    match world {
+        World::Harvester(h) => h.as_mut(),
+        World::Rfid { field, .. } => field,
+    }
+}
+
 impl System {
     /// Starts a [`SystemBuilder`] around a target with the given
     /// configuration.
@@ -399,18 +416,32 @@ impl System {
     /// Advances the bench by exactly one device quantum (one instruction
     /// or one idle step) and runs the observation flow after it.
     pub fn step(&mut self) -> DeviceStep {
-        self.advance(self.now())
+        self.advance(self.now(), None).0
     }
 
     /// Advances the bench by one *span*: a batch of device quanta ending
-    /// at [`System::span_deadline`], or a single quantum when there is no
+    /// at [`System::span_deadline`] (and a checkpoint engine's
+    /// [`CkptEngine::bound`]), or a single quantum when there is no
     /// batchable window. Both paths feed the same electrical closure and
     /// run the same observation flow afterwards; a span is bit-identical
-    /// to stepping quantum by quantum because the device breaks it on
-    /// any port access, wire event, power edge, or CPU state change, so
-    /// `Edb::observe` (a no-op on empty event lists) and the line-state/
-    /// drain model see every change exactly when the per-step loop would.
-    fn advance(&mut self, limit: SimTime) -> DeviceStep {
+    /// to stepping quantum by quantum because it ends on the quantum on
+    /// which any participant would act: the device breaks it on port
+    /// writes, FIFO pops, wire events, power edges and CPU state changes,
+    /// and the horizon on every instant the debugger, the reader, the
+    /// recorder or a checkpoint engine schedules. So `Edb::observe` (a
+    /// no-op on empty event lists), the reader and the checkpoint hook
+    /// see every change exactly when the per-step loop would.
+    ///
+    /// The span is driven here one [`Device::span_quantum`] at a time.
+    /// A `watch` predicate is evaluated after each quantum but the last
+    /// (which the caller evaluates after the observation flow); no
+    /// non-device state changes mid-span, so it sees what the step loop
+    /// would. Returns the step and whether the watch fired mid-span.
+    fn advance(
+        &mut self,
+        limit: SimTime,
+        watch: Option<&mut dyn FnMut(&System) -> bool>,
+    ) -> (DeviceStep, bool) {
         let now = self.device.now();
 
         // RF world bookkeeping before the step.
@@ -445,27 +476,50 @@ impl System {
             }
         }
 
-        let deadline = self.span_deadline(limit);
-
         // Electrical influence of the debugger. Line states cannot change
         // within a span, so the drain lookup is hoisted out of the
         // per-quantum closure.
         let states = self.line_states();
-        let System {
-            device, edb, world, ..
-        } = self;
-        let drain = edb.as_mut().map(|e| e.drain_for(states));
-        let mut i_ext = |v: f64| match (edb.as_mut(), drain) {
-            (Some(e), Some(d)) => e.electrical_current_with_drain(v, d, DT_GUESS),
-            _ => 0.0,
-        };
-        let source: &mut dyn Harvester = match world {
-            World::Harvester(h) => h.as_mut(),
-            World::Rfid { field, .. } => field,
-        };
-        let step = match deadline {
-            Some(deadline) => device.run_span(source, &mut i_ext, deadline),
-            None => device.step(source, i_ext(device.v_cap())),
+        let drain = self.edb.as_mut().map(|e| e.drain_for(states));
+        let horizon = self.span_deadline(limit).map(|deadline| {
+            let mut horizon = Horizon::until(deadline);
+            if let Some(engine) = &self.ckpt {
+                engine.bound(&mut horizon);
+            }
+            horizon
+        });
+        let mut fired = false;
+        let step = match horizon {
+            None => {
+                let System {
+                    device, edb, world, ..
+                } = self;
+                let i_ext = electrical(edb, drain)(device.v_cap());
+                device.step(source(world), i_ext)
+            }
+            Some(horizon) => {
+                let mut watch = watch;
+                let mut span = Span::new(now);
+                loop {
+                    let System {
+                        device, edb, world, ..
+                    } = self;
+                    let stop = device.span_quantum(
+                        &mut span,
+                        source(world),
+                        &mut electrical(edb, drain),
+                        &horizon,
+                    );
+                    if stop || device.now() >= horizon.deadline {
+                        break;
+                    }
+                    if watch.as_mut().is_some_and(|pred| pred(self)) {
+                        fired = true;
+                        break;
+                    }
+                }
+                span.finish(self.device.now())
+            }
         };
         let now = self.device.now();
 
@@ -503,30 +557,49 @@ impl System {
 
         self.publish_obs(&step.events, step.power_edge);
 
-        step
+        (step, fired)
     }
 
     /// Where the next [`System::advance`] may batch to, or `None` for a
-    /// single quantum.
+    /// single quantum (when `limit` is not in the future, or a wakeup is
+    /// due right now).
     ///
-    /// A single quantum is forced when `limit` is not in the future, when
-    /// the world is RFID (the reader is polled before every quantum), or
-    /// when a checkpoint engine is attached (it hooks every quantum for
-    /// instruction triggers, voltage samples and edges). Otherwise the
-    /// deadline is the earliest of `limit`, the debugger's next wakeup
-    /// ([`Edb::next_wakeup`] — before it, `Edb::tick` returns without
-    /// touching anything), the device's next silent peripheral deadline
-    /// ([`Device::next_silent_deadline`] — before it, the load model and
-    /// line states are constant) and the recorder's sampling deadline.
-    /// `run_span` is bit-identical to stepping for *any* deadline, so the
-    /// recorder's cap observes more often without changing the
-    /// simulation.
+    /// Every participant that acts on its own clock bounds the span with
+    /// the next instant it would act:
+    ///
+    /// * the debugger's next wakeup ([`Edb::next_wakeup`] — before it,
+    ///   `Edb::tick` returns without touching anything);
+    /// * the device's next silent peripheral deadline
+    ///   ([`Device::next_silent_deadline`] — before it, the load model
+    ///   and line states are constant);
+    /// * the recorder's sampling deadline;
+    /// * in the RFID world, the reader's next transmission edge
+    ///   ([`Reader::next_change`] — before it, `poll` emits nothing and
+    ///   the field's modulation holds) and the end of the earliest
+    ///   downlink frame in flight (when it is delivered).
+    ///
+    /// A checkpoint engine acts on instruction counts and voltages, not
+    /// on time: it bounds the span through the [`Horizon`] instead
+    /// ([`CkptEngine::bound`]).
+    ///
+    /// The span is bit-identical to stepping for *any* horizon, so extra
+    /// breaks (the recorder's cap) observe more often without changing
+    /// the simulation.
     fn span_deadline(&self, limit: SimTime) -> Option<SimTime> {
         let now = self.device.now();
-        if limit <= now || matches!(self.world, World::Rfid { .. }) || self.ckpt.is_some() {
+        if limit <= now {
             return None;
         }
         let mut deadline = limit;
+        if let World::Rfid {
+            reader, inflight, ..
+        } = &self.world
+        {
+            deadline = deadline.min(reader.next_change(now));
+            for &(end, _) in inflight {
+                deadline = deadline.min(end);
+            }
+        }
         if let Some(edb) = &self.edb {
             deadline = deadline.min(edb.next_wakeup());
         }
@@ -545,43 +618,38 @@ impl System {
     pub fn run_for(&mut self, duration: SimTime) {
         let end = self.device.now() + duration;
         while self.device.now() < end {
-            self.advance(end);
+            self.advance(end, None);
         }
     }
 
     /// Runs until `pred` holds or `timeout` elapses; returns whether the
     /// predicate fired.
     ///
-    /// The predicate is re-evaluated after every device step (it may
+    /// The predicate is evaluated after every device quantum (it may
     /// watch arbitrary ground-truth state, e.g. a memory word the target
-    /// writes), so this is the per-instruction path. Blocking console
-    /// operations whose predicates only change on debugger ticks wait
-    /// span-at-a-time instead.
-    pub fn run_until(&mut self, timeout: SimTime, mut pred: impl FnMut(&System) -> bool) -> bool {
-        self.wait(timeout, false, |s| pred(s))
+    /// writes) and stops the bench on the first quantum where it holds,
+    /// exactly as a loop of [`System::step`] calls would; the bench
+    /// still advances span-at-a-time in between.
+    pub fn run_until(&mut self, timeout: SimTime, pred: impl FnMut(&System) -> bool) -> bool {
+        self.wait(timeout, pred)
     }
 
     /// Advances until `pred` holds or `timeout` elapses; returns whether
-    /// the predicate fired. With `batched`, the bench advances
-    /// span-at-a-time: sound for predicates that only depend on state
-    /// the debugger mutates in `tick`/`observe` (session flags, level-op
-    /// completion, replies), because those calls happen exactly at span
-    /// boundaries. Otherwise it advances one quantum at a time.
-    fn wait(
-        &mut self,
-        timeout: SimTime,
-        batched: bool,
-        mut pred: impl FnMut(&mut System) -> bool,
-    ) -> bool {
-        let end = self.device.now() + timeout;
-        while self.device.now() < end {
+    /// the predicate fired. `pred` is evaluated once before the first
+    /// quantum and once after each quantum.
+    fn wait(&mut self, timeout: SimTime, mut pred: impl FnMut(&System) -> bool) -> bool {
+        let end = self.device.now().saturating_add(timeout);
+        loop {
             if pred(self) {
                 return true;
             }
-            let limit = if batched { end } else { self.device.now() };
-            self.advance(limit);
+            if self.device.now() >= end {
+                return false;
+            }
+            if self.advance(end, Some(&mut pred)).1 {
+                return true;
+            }
         }
-        pred(self)
     }
 
     // ---------------------------------------------------------------
@@ -613,7 +681,7 @@ impl System {
             return Err(EdbError::NotAttached { op });
         };
         start(edb, volts, now);
-        if self.wait(SimTime::from_secs(2), true, |s| {
+        if self.wait(SimTime::from_secs(2), |s| {
             s.edb().is_some_and(Edb::level_op_done)
         }) {
             Ok(self.device.v_cap())
@@ -625,7 +693,7 @@ impl System {
     /// Waits for an interactive session to open (assert, breakpoint, or
     /// energy breakpoint), up to `timeout`.
     pub fn wait_for_session(&mut self, timeout: SimTime) -> bool {
-        self.wait(timeout, true, |s| s.edb().is_some_and(Edb::session_active))
+        self.wait(timeout, |s| s.edb().is_some_and(Edb::session_active))
     }
 
     /// One complete typed exchange: submit the request, then drive the
@@ -650,21 +718,20 @@ impl System {
         }
         let config = edb.config();
         let id = edb.submit(device, request, now);
-        let budget = config.cmd_timeout.as_ns() * (u64::from(config.cmd_retries) + 2);
-        let timeout = SimTime::from_ns(budget) + SimTime::from_ms(50);
-        let mut outcome = None;
-        self.wait(timeout, true, |s| {
-            outcome = match s.edb_mut().poll(id) {
-                SessionPoll::Pending { .. } => return false,
-                SessionPoll::Ready(result) => Some(result),
-                SessionPoll::Superseded => Some(Err(EdbError::Busy { cmd: op })),
-            };
-            true
-        });
-        outcome.unwrap_or_else(|| {
-            let attempts = self.edb_mut().cancel_command();
-            Err(EdbError::CommandTimeout { cmd: op, attempts })
-        })
+        let budget = config
+            .cmd_timeout
+            .as_ns()
+            .saturating_mul(u64::from(config.cmd_retries) + 2);
+        let timeout = SimTime::from_ns(budget).saturating_add(SimTime::from_ms(50));
+        self.wait(timeout, |s| s.edb().is_some_and(|e| !e.is_pending(id)));
+        match self.edb_mut().poll(id) {
+            SessionPoll::Ready(result) => result,
+            SessionPoll::Superseded => Err(EdbError::Busy { cmd: op }),
+            SessionPoll::Pending { .. } => {
+                let attempts = self.edb_mut().cancel_command();
+                Err(EdbError::CommandTimeout { cmd: op, attempts })
+            }
+        }
     }
 
     /// Reads a word of target memory through the live debug protocol.
@@ -715,7 +782,7 @@ impl System {
             return Err(EdbError::NoSession { op: "resume" });
         }
         edb.resume(now);
-        if self.wait(SimTime::from_secs(1), true, |s| {
+        if self.wait(SimTime::from_secs(1), |s| {
             s.edb().is_some_and(|e| !e.session_active())
         }) {
             Ok(())
@@ -1707,6 +1774,163 @@ mod tests {
             }
             assert!(idle > 0 && ran >= 2_000, "{name}: idle {idle}, ran {ran}");
         }
+    }
+
+    /// A counter loop with no port traffic: nothing breaks a span but
+    /// the bench's own horizon.
+    const QUIET_COUNTER: &str = r#"
+        .equ COUNT, 0x6000
+        .org 0x4400
+        main:
+            movi sp, 0x2400
+            movi r1, COUNT
+        loop:
+            ld   r0, [r1]
+            add  r0, 1
+            st   [r1], r0
+            jmp  loop
+        .org 0xFFFE
+        .word main
+    "#;
+
+    /// Steps `a` quantum by quantum and runs `b` span-at-a-time for
+    /// `ms` each; both must end in the same state.
+    fn assert_run_for_matches_steps(name: &str, mut a: System, mut b: System, ms: u64) {
+        let end = SimTime::from_ms(ms);
+        while a.now() < end {
+            a.step();
+        }
+        b.run_for(end);
+        assert_eq!(a.now(), b.now(), "{name}: sim time");
+        assert_eq!(
+            a.device().total_instructions(),
+            b.device().total_instructions(),
+            "{name}: instructions"
+        );
+        assert_eq!(a.state_digest(), b.state_digest(), "{name}: state digest");
+        assert_eq!(
+            a.ckpt().map(CkptEngine::stats),
+            b.ckpt().map(CkptEngine::stats),
+            "{name}: checkpoint stats"
+        );
+        let counters = |s: &System| {
+            s.reader()
+                .map(|r| (r.commands_sent(), r.replies_ok(), r.replies_corrupt()))
+        };
+        assert_eq!(counters(&a), counters(&b), "{name}: reader counters");
+    }
+
+    #[test]
+    fn rfid_and_checkpointed_benches_batch() {
+        // The reader and the checkpoint engine bound spans with their
+        // own horizons instead of forcing one quantum per advance.
+        let image = assemble(&libedb::wrap_program(QUIET_COUNTER)).expect("assembles");
+        let rfid = |reader: ReaderConfig| {
+            let mut sys = System::builder(DeviceConfig::wisp5())
+                .rfid(1.0)
+                .reader_config(reader)
+                .seed(7)
+                .build();
+            sys.flash(&image);
+            sys
+        };
+        // Commands overlap on the air, so a frame can end while the
+        // reader's own next change is a later one.
+        let overlapping = ReaderConfig {
+            query_period: SimTime::from_ms(20),
+            rep_gap: SimTime::from_ms(2),
+            byte_time: SimTime::from_ms(1),
+            ..ReaderConfig::paper_setup()
+        };
+        let differential = || {
+            let mut sys = System::builder(DeviceConfig::wisp5())
+                .harvester(edb_energy::TheveninSource::new(3.2, 1500.0))
+                .with_checkpoint_strategy(
+                    CkptConfig::new(edb_runtime::ckpt::StrategyKind::Differential).interval(200),
+                )
+                .build();
+            sys.flash(&image);
+            sys.device_mut().set_v_cap(2.5);
+            sys
+        };
+        let far = SimTime::from_secs(10);
+        let paper = ReaderConfig::paper_setup();
+        for (name, mut sys) in [("rfid", rfid(paper)), ("differential", differential())] {
+            sys.run_for(SimTime::from_ms(5));
+            let deadline = sys.span_deadline(far);
+            assert!(
+                deadline.is_some_and(|d| d > sys.now()),
+                "{name}: no span at {:?}: {deadline:?}",
+                sys.now()
+            );
+        }
+        assert_run_for_matches_steps("rfid", rfid(paper), rfid(paper), 80);
+        let (a, b) = (rfid(overlapping), rfid(overlapping));
+        assert_run_for_matches_steps("rfid, overlapping commands", a, b, 80);
+        let (a, b) = (differential(), differential());
+        assert_run_for_matches_steps("differential", a, b, 80);
+    }
+
+    #[test]
+    fn run_until_stops_mid_span_where_the_step_loop_does() {
+        let build = || {
+            let mut sys = flashed_system(QUIET_COUNTER);
+            sys.detach_edb();
+            sys
+        };
+        let watched = |s: &System| s.device().mem().peek_word(0x6000) >= 1_000;
+        let timeout = SimTime::from_ms(400);
+
+        let mut a = build();
+        let mut stepped_fired = false;
+        while a.now() < timeout {
+            if watched(&a) {
+                stepped_fired = true;
+                break;
+            }
+            a.step();
+        }
+        let mut b = build();
+        // With no debugger and no port traffic, the window to the
+        // predicate's quantum is one span.
+        assert_eq!(b.span_deadline(timeout), Some(timeout));
+        let fired = b.run_until(timeout, watched);
+        assert!(stepped_fired && fired, "the counter must reach 1000");
+        assert_eq!(a.now(), b.now(), "same instant");
+        assert_eq!(
+            a.device().total_instructions(),
+            b.device().total_instructions(),
+            "same instruction"
+        );
+        assert_eq!(a.device().mem().peek_word(0x6000), 1_000);
+        assert_eq!(a.state_digest(), b.state_digest());
+    }
+
+    #[test]
+    fn speculative_knee_commits_on_the_same_quantum_batched() {
+        // Speculative commits when the capacitor sags through the knee;
+        // the span must stop on exactly that quantum.
+        let image = assemble(&libedb::wrap_program(QUIET_COUNTER)).expect("assembles");
+        // No trigger fires within a power cycle, so every knee commit
+        // is an emergency dump of the live context at that quantum.
+        let build = || {
+            let mut sys = System::builder(DeviceConfig::wisp5())
+                .harvester(edb_energy::TheveninSource::new(3.2, 1500.0))
+                .with_checkpoint_strategy(
+                    CkptConfig::new(edb_runtime::ckpt::StrategyKind::Speculative).interval(1 << 30),
+                )
+                .build();
+            sys.flash(&image);
+            sys
+        };
+        let mut probe = build();
+        probe.run_for(SimTime::from_ms(300));
+        let stats = probe.ckpt().unwrap().stats();
+        assert!(
+            stats.emergency_dumps > 0 && stats.restores > 0,
+            "the knee must commit and a turn-on restore: {stats:?}"
+        );
+        assert_run_for_matches_steps("speculative", build(), build(), 300);
     }
 
     #[test]

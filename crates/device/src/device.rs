@@ -169,6 +169,78 @@ pub struct DeviceStep {
     pub retired: Option<edb_mcu::Instr>,
 }
 
+/// Where a batched span must end, besides the device's own breaks (port
+/// traffic, events, power edges, the CPU leaving the running state).
+/// Each participant of the bench contributes the event it schedules;
+/// an extra break is always safe, a missing one is not.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Horizon {
+    /// Run quanta while `now < deadline` (the last one may overshoot).
+    pub deadline: SimTime,
+    /// End on the quantum after which [`Device::total_instructions`]
+    /// has reached this count with the CPU running.
+    pub instructions: Option<u64>,
+    /// End on the quantum after which the capacitor voltage, with the
+    /// CPU running, sits on the other side of a threshold.
+    pub v_cross: Option<VCross>,
+}
+
+impl Horizon {
+    /// A horizon bounded only by `deadline`.
+    pub fn until(deadline: SimTime) -> Self {
+        Horizon {
+            deadline,
+            instructions: None,
+            v_cross: None,
+        }
+    }
+}
+
+/// A voltage threshold a span must not cross unobserved: the span ends
+/// on the quantum where `(v_cap >= v) != above`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VCross {
+    /// The threshold, volts.
+    pub v: f64,
+    /// Which side of it the observer last saw.
+    pub above: bool,
+}
+
+/// A batched span in progress: what [`Device::span_quantum`] accumulates
+/// between quanta.
+#[derive(Debug)]
+pub struct Span {
+    start: SimTime,
+    events: Vec<DeviceEvent>,
+    retired: Option<edb_mcu::Instr>,
+    power_edge: Option<PowerEdge>,
+    /// The load current, cached until a quantum may change it.
+    i_load: Option<f64>,
+}
+
+impl Span {
+    /// Opens a span at `now`.
+    pub fn new(now: SimTime) -> Self {
+        Span {
+            start: now,
+            events: Vec::new(),
+            retired: None,
+            power_edge: None,
+            i_load: None,
+        }
+    }
+
+    /// Closes the span at `now` into the [`DeviceStep`] it amounts to.
+    pub fn finish(self, now: SimTime) -> DeviceStep {
+        DeviceStep {
+            elapsed: SimTime::from_ns(now.as_ns() - self.start.as_ns()),
+            events: self.events,
+            power_edge: self.power_edge,
+            retired: self.retired,
+        }
+    }
+}
+
 /// The WISP-like intermittent target device.
 ///
 /// # Example
@@ -404,26 +476,29 @@ impl Device {
         }
     }
 
-    /// Advances the device until `deadline` (or the first span-breaking
-    /// occurrence), integrating each quantum with exactly the arithmetic
-    /// of [`Device::step`] but skipping redundant load-model
-    /// recomputation in between.
+    /// Advances the device to the first of `horizon`'s limits or the
+    /// first span-breaking occurrence, integrating each quantum with
+    /// exactly the arithmetic of [`Device::step`] but skipping redundant
+    /// load-model recomputation in between.
     ///
-    /// This is the batched fast path. Its contract is *bit identity*
-    /// with a loop of `step` calls: it may only elide work that is
-    /// provably a no-op in that loop. The span ends — leaving the caller
-    /// to re-establish its invariants — at the first of:
+    /// This is the batched fast path: [`Device::span_quantum`] until it
+    /// asks to stop or the deadline passes. Its contract is *bit
+    /// identity* with a loop of `step` calls: it may only elide work that
+    /// is provably a no-op in that loop. The span ends — leaving the
+    /// caller to re-establish its invariants — at the first of:
     ///
-    /// * the deadline (callers cap it with the next debugger wakeup and
-    ///   [`Device::next_silent_deadline`], so the load model and
-    ///   observer state stay exact);
-    /// * any port access (`in`/`out` can change peripheral currents,
-    ///   wire states, and RF bookkeeping);
+    /// * the horizon's deadline (callers cap it with every event they
+    ///   schedule by time: the next debugger wakeup, the reader's next
+    ///   transmission edge, [`Device::next_silent_deadline`]);
+    /// * the quantum on which the horizon's instruction count or
+    ///   voltage threshold is reached;
+    /// * any port write or FIFO-popping port read (these can change
+    ///   peripheral currents, wire states, and RF bookkeeping);
     /// * any wire-observable event, a power edge, or the CPU leaving
     ///   the running state.
     ///
-    /// Note the final quantum may overshoot `deadline`, exactly like the
-    /// unbatched `while now < deadline { step() }` loop it replaces.
+    /// Note the final quantum may overshoot the deadline, exactly like
+    /// the unbatched `while now < deadline { step() }` loop it replaces.
     ///
     /// `i_external` is sampled per quantum with the present capacitor
     /// voltage, matching the per-step closure evaluation order.
@@ -431,100 +506,113 @@ impl Device {
         &mut self,
         harvester: &mut dyn Harvester,
         i_external: &mut dyn FnMut(f64) -> f64,
-        deadline: SimTime,
+        horizon: &Horizon,
     ) -> DeviceStep {
-        let start = self.now;
-        let mut events = Vec::new();
-        let mut retired = None;
-        let mut power_edge = None;
-        let mut i_load_cache = 0.0;
-        let mut have_i_load = false;
+        let mut span = Span::new(self.now);
+        while self.now < horizon.deadline
+            && !self.span_quantum(&mut span, harvester, i_external, horizon)
+        {}
+        span.finish(self.now)
+    }
 
-        while self.now < deadline {
-            let powered = self.supervisor.powered();
-            let mut refresh = !have_i_load;
-            let mut stop = false;
+    /// Runs one quantum of `span` and returns whether the span must end
+    /// after it (see [`Device::run_span`] for the reasons). The caller
+    /// owns the deadline check, so it can also inspect the device
+    /// between quanta — `System::run_until` evaluates its predicate
+    /// here.
+    #[inline]
+    pub fn span_quantum(
+        &mut self,
+        span: &mut Span,
+        harvester: &mut dyn Harvester,
+        i_external: &mut dyn FnMut(f64) -> f64,
+        horizon: &Horizon,
+    ) -> bool {
+        let powered = self.supervisor.powered();
+        let mut refresh = span.i_load.is_none();
+        let mut stop = false;
 
-            let dt_ns = if powered && self.cpu.is_running() {
-                let had_events = events.len();
-                let outcome = {
-                    let mut bus = BusCtx {
-                        peripherals: &mut self.peripherals,
-                        events: &mut events,
-                        now: self.now,
-                        v_cap: self.cap.voltage(),
-                        cycles: self.cpu.cycles,
-                        marker_mask: self.marker_mask,
-                        touched: false,
-                    };
-                    let o = self.cpu.step(&mut self.mem, &mut bus);
-                    if bus.touched {
-                        refresh = true;
-                        stop = true;
-                    }
-                    o
+        let dt_ns = if powered && self.cpu.is_running() {
+            let had_events = span.events.len();
+            let outcome = {
+                let mut bus = BusCtx {
+                    peripherals: &mut self.peripherals,
+                    events: &mut span.events,
+                    now: self.now,
+                    v_cap: self.cap.voltage(),
+                    cycles: self.cpu.cycles,
+                    marker_mask: self.marker_mask,
+                    touched: false,
                 };
-                if outcome.retired.is_some() {
-                    self.total_instructions += 1;
-                    retired = outcome.retired;
-                }
-                if let CpuState::Faulted(f) = self.cpu.state() {
-                    events.push(DeviceEvent::CpuFault(f));
-                }
-                if !self.cpu.is_running() {
+                let o = self.cpu.step(&mut self.mem, &mut bus);
+                if bus.touched {
                     refresh = true;
                     stop = true;
                 }
-                if events.len() > had_events {
-                    stop = true;
-                }
-                (outcome.cycles.max(1) as u64) * self.cycle_ns
-            } else {
-                self.config.idle_step.as_ns()
+                o
             };
-            let dt = dt_ns as f64 * 1e-9;
-
-            if refresh {
-                i_load_cache = self.i_load_now(powered);
-                have_i_load = true;
+            if outcome.retired.is_some() {
+                self.total_instructions += 1;
+                span.retired = outcome.retired;
             }
-            self.i_load_last = i_load_cache;
-            let i_ext = i_external(self.cap.voltage());
-            edb_energy::integrate_quantum(
-                &mut self.cap,
-                harvester,
-                i_ext,
-                i_load_cache,
-                self.now,
-                dt,
-            );
-            self.now = self.now.advance_ns(dt_ns);
-
-            if powered {
-                if let Some(txn) = self.peripherals.accel.tick(self.now) {
-                    events.push(DeviceEvent::I2c(txn));
-                    stop = true;
-                }
+            if let CpuState::Faulted(f) = self.cpu.state() {
+                span.events.push(DeviceEvent::CpuFault(f));
             }
-
-            let edge = self.supervisor.update(self.cap.voltage());
-            if edge.is_some() {
-                self.apply_power_edge(edge);
-                power_edge = edge;
+            if !self.cpu.is_running() {
+                refresh = true;
                 stop = true;
             }
+            if span.events.len() > had_events {
+                stop = true;
+            }
+            (outcome.cycles.max(1) as u64) * self.cycle_ns
+        } else {
+            self.config.idle_step.as_ns()
+        };
+        let dt = dt_ns as f64 * 1e-9;
 
-            if stop {
-                break;
+        let i_load = match span.i_load {
+            Some(i_load) if !refresh => i_load,
+            _ => {
+                let i_load = self.i_load_now(powered);
+                span.i_load = Some(i_load);
+                i_load
+            }
+        };
+        self.i_load_last = i_load;
+        let i_ext = i_external(self.cap.voltage());
+        edb_energy::integrate_quantum(&mut self.cap, harvester, i_ext, i_load, self.now, dt);
+        self.now = self.now.advance_ns(dt_ns);
+
+        if powered {
+            if let Some(txn) = self.peripherals.accel.tick(self.now) {
+                span.events.push(DeviceEvent::I2c(txn));
+                stop = true;
             }
         }
 
-        DeviceStep {
-            elapsed: SimTime::from_ns(self.now.as_ns() - start.as_ns()),
-            events,
-            power_edge,
-            retired,
+        let edge = self.supervisor.update(self.cap.voltage());
+        if edge.is_some() {
+            self.apply_power_edge(edge);
+            span.power_edge = edge;
+            stop = true;
         }
+
+        // Horizon limits bind only while the CPU runs: that is when the
+        // caller's per-quantum hooks (checkpoint triggers, knee samples)
+        // act at all.
+        if !stop && self.supervisor.powered() && self.cpu.is_running() {
+            if horizon
+                .instructions
+                .is_some_and(|n| self.total_instructions >= n)
+            {
+                stop = true;
+            }
+            if let Some(cross) = horizon.v_cross {
+                stop |= (self.cap.voltage() >= cross.v) != cross.above;
+            }
+        }
+        stop
     }
 
     /// The earliest future instant at which a peripheral's load current
@@ -596,27 +684,31 @@ struct BusCtx<'a> {
     v_cap: f64,
     cycles: u64,
     marker_mask: u16,
-    /// Set on any `in`/`out`: port traffic may change peripheral state
-    /// (and thus the load model), so a batched span must end here.
+    /// Set on every `out` and on the `in`s that pop a FIFO or emit an
+    /// event: those may change peripheral state (and thus the load
+    /// model) or what an observer sees, so a batched span must end here.
+    /// Status, latch and sample reads leave both alone.
     touched: bool,
 }
 
 impl PortBus for BusCtx<'_> {
     fn port_in(&mut self, port: u8) -> u16 {
-        self.touched = true;
         match port {
             ports::GPIO_OUT => self.peripherals.gpio.read(),
             ports::GPIO_IN => 0,
             ports::DEBUG_STATUS => self.peripherals.debug.status(),
-            ports::DBG_UART_RX => self
-                .peripherals
-                .debug
-                .rx_from_debugger
-                .pop_front()
-                .map_or(0, u16::from),
+            ports::DBG_UART_RX => {
+                self.touched = true;
+                self.peripherals
+                    .debug
+                    .rx_from_debugger
+                    .pop_front()
+                    .map_or(0, u16::from)
+            }
             ports::DBG_UART_STATUS => self.peripherals.debug.uart_status(self.now),
             ports::UART_STATUS => self.peripherals.uart.status(self.now),
             ports::ADC_SELF => {
+                self.touched = true;
                 let code = self.peripherals.adc.sample(self.now, self.v_cap);
                 self.events.push(DeviceEvent::AdcSelfSample { code });
                 code
@@ -627,7 +719,10 @@ impl PortBus for BusCtx<'_> {
             ports::ACCEL_X => self.peripherals.accel.axis(0),
             ports::ACCEL_Y => self.peripherals.accel.axis(1),
             ports::ACCEL_Z => self.peripherals.accel.axis(2),
-            ports::RF_RX_DATA => self.peripherals.rf.pop_rx(),
+            ports::RF_RX_DATA => {
+                self.touched = true;
+                self.peripherals.rf.pop_rx()
+            }
             ports::RF_RX_STATUS => self.peripherals.rf.rx_status(),
             _ => 0,
         }
@@ -1002,7 +1097,7 @@ main:
                 cap = cap.min(t);
             }
             let span = if cap > b.now() {
-                b.run_span(&mut src_b, &mut |_| 0.0, cap)
+                b.run_span(&mut src_b, &mut |_| 0.0, &Horizon::until(cap))
             } else {
                 b.step(&mut src_b, 0.0)
             };

@@ -24,7 +24,9 @@ pub mod ports;
 pub mod rf_frontend;
 
 pub use accel::{AccelSample, Accelerometer, Regime, SyntheticMotion};
-pub use device::{Device, DeviceConfig, DeviceEvent, DeviceStep, Peripherals};
+pub use device::{
+    Device, DeviceConfig, DeviceEvent, DeviceStep, Horizon, Peripherals, Span, VCross,
+};
 pub use fleet::{splitmix64, Fleet, TagMode, TagParams};
 pub use peripherals::{DebugLink, Gpio, SelfAdc, Timer, Uart};
 pub use rf_frontend::{Backscatter, RfFrontend};

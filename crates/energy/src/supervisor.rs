@@ -170,6 +170,13 @@ impl KneeDetector {
         self.v_knee
     }
 
+    /// Whether the last sample sat at or above the knee, so a sample
+    /// below it fires. [`KneeDetector::update`] changes nothing while
+    /// `(v_cap >= v_knee) == armed`.
+    pub fn armed(&self) -> bool {
+        self.armed
+    }
+
     /// Feeds the present capacitor voltage; `true` exactly when this
     /// sample crosses the knee downward from an armed state.
     pub fn update(&mut self, v_cap: f64) -> bool {

@@ -81,6 +81,13 @@ impl SimTime {
         SimTime(self.0 + (secs * 1e9).round() as u64)
     }
 
+    /// This instant advanced by `rhs`, saturating at the end of the
+    /// clock instead of overflowing.
+    #[must_use]
+    pub const fn saturating_add(self, rhs: SimTime) -> Self {
+        SimTime(self.0.saturating_add(rhs.0))
+    }
+
     /// The elapsed time since `earlier`, saturating at zero.
     pub fn since(self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))

@@ -11,17 +11,22 @@
 //!    per-step integration vs. `run_span` batching, and per-step with
 //!    the cache vs. per-step cold decode. Capacitor voltage is compared
 //!    to the last bit, along with every wire-observable event.
-//! 3. **`system`** — the whole bench with EDB attached:
-//!    `System::run_for` (batched `Device::run_span` spans) vs. a manual
-//!    `step()` loop (one `Device::step` quantum each), both through
-//!    `System`'s one observation flow, compared on energy, time,
-//!    instruction and reboot counts, and the debugger's own observations.
+//! 3. **`system`** — the whole bench with EDB attached, on a harvester,
+//!    an RFID reader's carrier, or a harvester with a checkpoint engine
+//!    of any strategy: `System::run_for` (batched spans of
+//!    `Device::span_quantum` quanta) vs. a manual `step()` loop (one
+//!    `Device::step` quantum each), and `System::run_until` on a random
+//!    SRAM word vs. a step loop checking the same predicate, all
+//!    through `System`'s one observation flow. Compared on energy, time, instruction and reboot
+//!    counts, the debugger's own observations, memory images, the state
+//!    digest, the reader's counters and the checkpoint statistics.
 
 use crate::gen::Program;
-use edb_device::{Device, DeviceConfig, DeviceEvent};
+use edb_device::{Device, DeviceConfig, DeviceEvent, Horizon};
 use edb_energy::{Fading, Harvester, PulsedSource, SimTime, TheveninSource};
 use edb_mcu::asm::assemble;
 use edb_mcu::{Cpu, CpuState, Image, Memory, PortBus};
+use edb_runtime::ckpt::{CkptConfig, StrategyKind};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,7 +357,7 @@ fn run_device_spanned(image: &Image, spec: &HarvesterSpec, v0: f64, end: SimTime
             cap = cap.min(t);
         }
         let span = if cap > dev.now() {
-            dev.run_span(&mut *h, &mut |_| 0.0, cap)
+            dev.run_span(&mut *h, &mut |_| 0.0, &Horizon::until(cap))
         } else {
             dev.step(&mut *h, 0.0)
         };
@@ -457,8 +462,61 @@ pub fn diff_device(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
     compare_device_traces("cached-vs-cold", &stepped, &cold)
 }
 
+/// The bench a `system` case runs on: one of the worlds whose
+/// participants bound a batched span.
+#[derive(Debug, Clone, Copy)]
+enum SystemWorld {
+    /// A plain harvester: the debugger, the device's silent deadlines
+    /// and the recorder bound spans.
+    Harvester(HarvesterSpec),
+    /// An RFID reader's carrier: its transmission edges and in-flight
+    /// frames bound spans too.
+    Rfid {
+        /// Reader-to-tag distance, metres.
+        distance_m: f64,
+    },
+    /// A harvester with a checkpoint engine: its instruction triggers
+    /// and knee threshold bound spans too.
+    Checkpointed(HarvesterSpec, CkptConfig),
+}
+
+impl SystemWorld {
+    /// Draws a world from the case RNG.
+    fn draw(rng: &mut SmallRng) -> Self {
+        let spec = HarvesterSpec::draw(rng);
+        match rng.gen_range(0u32..3) {
+            0 => SystemWorld::Harvester(spec),
+            1 => SystemWorld::Rfid {
+                distance_m: rng.gen_range(0.5f64..2.0),
+            },
+            _ => {
+                let kind = StrategyKind::ALL[rng.gen_range(0..StrategyKind::ALL.len())];
+                // Log-uniform: short intervals stage and commit often;
+                // long ones leave the knee to commit emergency dumps.
+                let interval = 1u64 << rng.gen_range(6u32..20);
+                SystemWorld::Checkpointed(spec, CkptConfig::new(kind).interval(interval))
+            }
+        }
+    }
+
+    /// Builds a fresh bench in this world, EDB attached, the RFID
+    /// channel seeded with `seed`.
+    fn build(&self, seed: u64) -> edb_core::System {
+        let builder = edb_core::System::builder(DeviceConfig::wisp5()).seed(seed);
+        match *self {
+            SystemWorld::Harvester(spec) => builder.harvester(spec.build()),
+            SystemWorld::Rfid { distance_m } => builder.rfid(distance_m),
+            SystemWorld::Checkpointed(spec, config) => builder
+                .harvester(spec.build())
+                .with_checkpoint_strategy(config),
+        }
+        .build()
+    }
+}
+
 /// Arm 3: the whole system with EDB attached — `run_for` (batched) vs.
-/// a manual step loop.
+/// a manual step loop, and `run_until` vs. a manual step loop checking
+/// the same predicate, on a harvester, RFID or checkpointed bench.
 pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence> {
     use edb_core::System;
     let image = match assemble_program(prog) {
@@ -466,15 +524,13 @@ pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
         Err(d) => return Some(d),
     };
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E_57_E4);
-    let spec = HarvesterSpec::draw(&mut rng);
+    let world = SystemWorld::draw(&mut rng);
     let v0 = rng.gen_range(2.0f64..2.6);
+    let watched = rng.gen_range(edb_mcu::mem::SRAM_START..edb_mcu::mem::SRAM_END) & !1;
     let end = SimTime::from_ms(sim_ms);
 
     let build = || {
-        let mut sys = System::builder(DeviceConfig::wisp5())
-            .harvester(spec.build())
-            .seed(seed)
-            .build();
+        let mut sys = world.build(seed);
         sys.flash(&image);
         sys.device_mut().set_v_cap(v0);
         sys
@@ -486,77 +542,146 @@ pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
     }
     let mut b = build();
     b.run_for(end);
+    if let Some(d) = compare_systems(&format!("run_for vs step loop ({world:?})"), &a, &b) {
+        return Some(d);
+    }
 
-    let d = |what: &str, va: String, vb: String| {
-        Divergence::new(
+    // The watch: a random SRAM word leaving zero (or the stack top
+    // being written, or nothing at all before the timeout).
+    let pred = |s: &System| s.device().mem().peek_word(watched) != 0;
+    let mut a = build();
+    let mut a_fired = pred(&a);
+    while !a_fired && a.now() < end {
+        a.step();
+        a_fired = pred(&a);
+    }
+    let mut b = build();
+    let b_fired = b.run_until(end, pred);
+    let what = format!("run_until({watched:#06x} != 0) vs step loop ({world:?})");
+    if a_fired != b_fired {
+        return Some(Divergence::new(
             "system",
-            format!("run_for vs step loop: {what} diverged: {va} vs {vb}"),
-        )
+            format!("{what}: fired diverged: {a_fired} vs {b_fired}"),
+        ));
+    }
+    compare_systems(&what, &a, &b)
+}
+
+/// Compares two benches that must agree: energy, time, instruction and
+/// power-cycle counts, the debugger's observations, memory images, the
+/// state digest, the reader's counters and the checkpoint engine's
+/// statistics.
+fn compare_systems(what: &str, a: &edb_core::System, b: &edb_core::System) -> Option<Divergence> {
+    let d = |field: &str, va: String, vb: String| {
+        Some(Divergence::new(
+            "system",
+            format!("{what}: {field} diverged: {va} vs {vb}"),
+        ))
     };
-    if a.device().v_cap().to_bits() != b.device().v_cap().to_bits() {
-        return Some(d(
+    let (da, db) = (a.device(), b.device());
+    if da.v_cap().to_bits() != db.v_cap().to_bits() {
+        return d(
             "v_cap bits",
-            format!("{:.9}", a.device().v_cap()),
-            format!("{:.9}", b.device().v_cap()),
-        ));
+            format!("{:.9}", da.v_cap()),
+            format!("{:.9}", db.v_cap()),
+        );
     }
-    if a.now() != b.now() {
-        return Some(d(
-            "sim time",
-            format!("{:?}", a.now()),
-            format!("{:?}", b.now()),
-        ));
-    }
-    if a.device().total_instructions() != b.device().total_instructions() {
-        return Some(d(
+    let counts = [
+        ("sim time ns", a.now().as_ns(), b.now().as_ns()),
+        (
             "instruction count",
-            a.device().total_instructions().to_string(),
-            b.device().total_instructions().to_string(),
-        ));
-    }
-    if a.device().reboots() != b.device().reboots() {
-        return Some(d(
-            "reboots",
-            a.device().reboots().to_string(),
-            b.device().reboots().to_string(),
-        ));
-    }
-    if a.device().turn_ons() != b.device().turn_ons() {
-        return Some(d(
-            "turn-ons",
-            a.device().turn_ons().to_string(),
-            b.device().turn_ons().to_string(),
-        ));
+            da.total_instructions(),
+            db.total_instructions(),
+        ),
+        ("reboots", da.reboots(), db.reboots()),
+        ("turn-ons", da.turn_ons(), db.turn_ons()),
+    ];
+    for (field, va, vb) in counts {
+        if va != vb {
+            return d(field, va.to_string(), vb.to_string());
+        }
     }
     let (ea, eb) = (
         a.edb().expect("edb attached"),
         b.edb().expect("edb attached"),
     );
     if ea.log().len() != eb.log().len() {
-        return Some(d(
+        return d(
             "EDB event log length",
             ea.log().len().to_string(),
             eb.log().len().to_string(),
-        ));
+        );
     }
     if ea.last_reading().to_bits() != eb.last_reading().to_bits() {
-        return Some(d(
+        return d(
             "EDB ADC reading bits",
-            format!("{}", ea.last_reading()),
-            format!("{}", eb.last_reading()),
-        ));
+            ea.last_reading().to_string(),
+            eb.last_reading().to_string(),
+        );
     }
     if ea.charge_delivered().to_bits() != eb.charge_delivered().to_bits() {
-        return Some(d(
+        return d(
             "EDB charge delivered bits",
-            format!("{}", ea.charge_delivered()),
-            format!("{}", eb.charge_delivered()),
-        ));
+            ea.charge_delivered().to_string(),
+            eb.charge_delivered().to_string(),
+        );
     }
-    if a.device().mem().sram() != b.device().mem().sram()
-        || a.device().mem().fram() != b.device().mem().fram()
-    {
-        return Some(d("final memory image", String::new(), String::new()));
+    if da.mem().sram() != db.mem().sram() || da.mem().fram() != db.mem().fram() {
+        return d("final memory image", String::new(), String::new());
+    }
+    if a.state_digest() != b.state_digest() {
+        return d(
+            "state digest",
+            format!("{:#018x}", a.state_digest()),
+            format!("{:#018x}", b.state_digest()),
+        );
+    }
+    let reader = |s: &edb_core::System| {
+        s.reader()
+            .map(|r| (r.commands_sent(), r.replies_ok(), r.replies_corrupt()))
+    };
+    if reader(a) != reader(b) {
+        return d(
+            "reader counters",
+            format!("{:?}", reader(a)),
+            format!("{:?}", reader(b)),
+        );
+    }
+    let stats = |s: &edb_core::System| s.ckpt().map(|e| e.stats());
+    if stats(a) != stats(b) {
+        return d(
+            "checkpoint stats",
+            format!("{:?}", stats(a)),
+            format!("{:?}", stats(b)),
+        );
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn system_arm_draws_every_world_and_strategy() {
+        let (mut harvester, mut rfid) = (0, 0);
+        let mut kinds = Vec::new();
+        for seed in 0..200u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            match SystemWorld::draw(&mut rng) {
+                SystemWorld::Harvester(_) => harvester += 1,
+                SystemWorld::Rfid { distance_m } => {
+                    assert!((0.5..2.0).contains(&distance_m));
+                    rfid += 1;
+                }
+                SystemWorld::Checkpointed(_, config) => {
+                    if !kinds.contains(&config.strategy) {
+                        kinds.push(config.strategy);
+                    }
+                }
+            }
+        }
+        assert!(harvester > 0 && rfid > 0, "{harvester} {rfid}");
+        assert_eq!(kinds.len(), StrategyKind::ALL.len(), "{kinds:?}");
+    }
 }

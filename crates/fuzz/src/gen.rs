@@ -279,15 +279,20 @@ pub fn generate(seed: u64) -> Program {
                 }
                 ops.push(format!("out {port:#04x}, r12"));
             }
-            // Port reads: status registers, timer, and the self-ADC
-            // (50 µs busy window — a silent span deadline).
+            // Port reads: status registers and the timer (which must not
+            // break a span), and the self-ADC (an event, then a 50 µs
+            // busy window — a silent span deadline).
             81..=86 => {
-                let port: u8 = match rng.gen_range(0u32..5) {
+                let port: u8 = match rng.gen_range(0u32..9) {
                     0 => 0x0A, // ADC_SELF
                     1 => 0x01, // GPIO_IN
                     2 => 0x09, // UART_STATUS
                     3 => 0x0B, // TIMER_LO
-                    _ => 0x0C, // TIMER_HI
+                    4 => 0x0C, // TIMER_HI
+                    5 => 0x13, // RF_RX_STATUS
+                    6 => 0x04, // DEBUG_STATUS
+                    7 => 0x07, // DBG_UART_STATUS
+                    _ => 0x0E, // ACCEL_STATUS
                 };
                 ops.push(format!("in r{}, {port:#04x}", reg(&mut rng)));
             }

@@ -141,6 +141,19 @@ impl Reader {
         now < self.tx_end
     }
 
+    /// The first instant after `now` at which the reader changes what it
+    /// puts on the air: the end of the transmission in progress or the
+    /// start of the next one. Until then [`Reader::poll`] returns `None`
+    /// and [`Reader::modulating`] keeps its value. Call after draining
+    /// [`Reader::poll`] at `now`.
+    pub fn next_change(&self, now: SimTime) -> SimTime {
+        if now < self.tx_end {
+            self.tx_end.min(self.next_tx)
+        } else {
+            self.next_tx
+        }
+    }
+
     /// Advances the schedule; returns a transmission if one starts at or
     /// before `now`. Call repeatedly until it returns `None` to drain
     /// multiple due events after a large time jump.
@@ -248,6 +261,23 @@ mod tests {
         let ev = r.poll(SimTime::ZERO).expect("due at t=0");
         assert!(matches!(ev.command, Command::Query { .. }));
         assert_eq!(r.queries_sent(), 1);
+    }
+
+    #[test]
+    fn next_change_is_the_next_edge_on_the_air() {
+        // Between edges nothing happens: `poll` emits nothing and the
+        // modulation holds, so a simulation may batch up to the edge.
+        let cfg = ReaderConfig::paper_setup();
+        let mut r = Reader::new(cfg);
+        let first = r.poll(SimTime::ZERO).expect("due at t=0");
+        assert!(r.poll(SimTime::ZERO).is_none());
+        assert_eq!(r.next_change(SimTime::ZERO), first.end, "end of the query");
+        let mid = SimTime::from_ns(first.end.as_ns() / 2);
+        assert!(r.modulating(mid) && r.poll(mid).is_none());
+        assert_eq!(r.next_change(first.end), cfg.rep_gap, "the first QueryRep");
+        let quiet = first.end.advance_ns(1);
+        assert!(!r.modulating(quiet) && r.poll(quiet).is_none());
+        assert!(r.poll(cfg.rep_gap).is_some());
     }
 
     #[test]

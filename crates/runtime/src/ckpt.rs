@@ -47,7 +47,7 @@
 //!         +3172  arena half 1    (2084 B base image + 1024 B delta log)
 //! ```
 
-use edb_device::Device;
+use edb_device::{Device, Horizon, VCross};
 use edb_energy::{KneeDetector, PowerEdge};
 use edb_mcu::cpu::Flags;
 use edb_mcu::{Cpu, Memory};
@@ -166,11 +166,7 @@ impl Snapshot {
     /// The image encoding: registers LE, pc, flags word, SRAM bytes.
     fn image_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(IMAGE_BYTES);
-        for r in self.regs {
-            out.extend_from_slice(&r.to_le_bytes());
-        }
-        out.extend_from_slice(&self.pc.to_le_bytes());
-        out.extend_from_slice(&self.flags.to_le_bytes());
+        out.extend_from_slice(&self.ctx_bytes());
         out.extend_from_slice(&self.sram);
         out
     }
@@ -189,9 +185,16 @@ impl Snapshot {
         }
     }
 
-    /// The 36-byte context prefix alone (delta records carry it).
-    fn ctx_bytes(&self) -> Vec<u8> {
-        self.image_bytes()[..CTX_BYTES].to_vec()
+    /// The 36-byte context prefix of the image (delta records carry it
+    /// alone).
+    fn ctx_bytes(&self) -> [u8; CTX_BYTES] {
+        let mut out = [0u8; CTX_BYTES];
+        for (i, r) in self.regs.iter().enumerate() {
+            out[2 * i..2 * i + 2].copy_from_slice(&r.to_le_bytes());
+        }
+        out[32..34].copy_from_slice(&self.pc.to_le_bytes());
+        out[34..36].copy_from_slice(&self.flags.to_le_bytes());
+        out
     }
 }
 
@@ -258,9 +261,10 @@ impl Header {
     }
 }
 
-/// Reads a span of FRAM without disturbing fault counters.
-fn peek_span(mem: &Memory, addr: u16, len: usize) -> Vec<u8> {
-    (0..len).map(|i| mem.peek_byte(addr + i as u16)).collect()
+/// A span of the zoo's FRAM region, read in place (no fault counters).
+fn fram_span(mem: &Memory, addr: u16, len: usize) -> &[u8] {
+    let at = usize::from(addr - edb_mcu::mem::FRAM_START);
+    &mem.fram()[at..at + len]
 }
 
 /// Validates the record in `slot` against the payload bytes it
@@ -272,17 +276,17 @@ fn validate_slot(mem: &Memory, slot: u16) -> Option<(Header, Snapshot, Vec<u16>,
     if hdr.half > 1 || hdr.kind > KIND_DELTA {
         return None;
     }
-    let base = peek_span(mem, base_addr(hdr.half), IMAGE_BYTES);
+    let base = fram_span(mem, base_addr(hdr.half), IMAGE_BYTES);
     let (snap, words, read) = match hdr.kind {
         KIND_FULL => {
             if hdr.delta_len != 0 {
                 return None;
             }
-            if fnv64(&[&hdr.prefix_bytes(), &base]) != hdr.digest {
+            if fnv64(&[&hdr.prefix_bytes(), base]) != hdr.digest {
                 return None;
             }
             (
-                Snapshot::from_image_bytes(&base),
+                Snapshot::from_image_bytes(base),
                 Vec::new(),
                 IMAGE_BYTES as u64,
             )
@@ -292,12 +296,12 @@ fn validate_slot(mem: &Memory, slot: u16) -> Option<(Header, Snapshot, Vec<u16>,
             if u32::from(hdr.delta_off) + u32::from(hdr.delta_len) > u32::from(LOG_BYTES) {
                 return None;
             }
-            let rec = peek_span(
+            let rec = fram_span(
                 mem,
                 log_addr(hdr.half) + hdr.delta_off,
                 hdr.delta_len as usize,
             );
-            if fnv64(&[&hdr.prefix_bytes(), &base, &rec]) != hdr.digest {
+            if fnv64(&[&hdr.prefix_bytes(), base, rec]) != hdr.digest {
                 return None;
             }
             if rec.len() < CTX_BYTES + 2 {
@@ -307,7 +311,7 @@ fn validate_slot(mem: &Memory, slot: u16) -> Option<(Header, Snapshot, Vec<u16>,
             if rec.len() != CTX_BYTES + 2 + 4 * n {
                 return None;
             }
-            let mut snap = Snapshot::from_image_bytes(&base);
+            let mut snap = Snapshot::from_image_bytes(base);
             // Context comes from the delta record, not the base.
             let ctx = Snapshot::from_image_bytes(
                 &[&rec[..CTX_BYTES], &vec![0u8; SRAM_BYTES][..]].concat(),
@@ -495,6 +499,13 @@ pub trait CheckpointStrategy: Send + Sync {
         Plan::Skip
     }
 
+    /// The voltage threshold whose crossing would make
+    /// [`CheckpointStrategy::on_sample`] do anything; `None` when every
+    /// sample is a no-op. Batched spans stop on that crossing.
+    fn v_cross(&self) -> Option<VCross> {
+        None
+    }
+
     /// Called after the engine applies a commit; `rebased` reports
     /// whether a fresh base image was written.
     fn after_commit(&mut self, mem: &mut Memory, rebased: bool) {
@@ -625,6 +636,13 @@ impl CheckpointStrategy for Speculative {
         }
     }
 
+    fn v_cross(&self) -> Option<VCross> {
+        Some(VCross {
+            v: self.knee.v_knee(),
+            above: self.knee.armed(),
+        })
+    }
+
     fn save(&self) -> Value {
         self.knee.to_value()
     }
@@ -677,13 +695,13 @@ pub struct CkptStats {
 /// The host-side checkpoint engine: one strategy, the atomic commit
 /// machinery, and restore-on-turn-on.
 ///
-/// Drive it by calling [`CkptEngine::observe`] after every device step
-/// (the core `System` does this when built
-/// `with_checkpoint_strategy`). All FRAM traffic happens between target
-/// instructions through the debugger's side channel, so the engine is
-/// energy-interference-free by construction: the target's power
-/// trajectory is bit-identical with and without it *until the first
-/// restore changes execution*.
+/// Drive it by calling [`CkptEngine::observe`] after every device step,
+/// or after every span bounded by [`CkptEngine::bound`] (the core
+/// `System` does this when built `with_checkpoint_strategy`). All FRAM
+/// traffic happens between target instructions through the debugger's
+/// side channel, so the engine is energy-interference-free by
+/// construction: the target's power trajectory is bit-identical with
+/// and without it *until the first restore changes execution*.
 pub struct CkptEngine {
     config: CkptConfig,
     strategy: Box<dyn CheckpointStrategy>,
@@ -752,6 +770,16 @@ impl CkptEngine {
     /// Arms the strategy's probes on the target memory.
     pub fn attach(&mut self, mem: &mut Memory) {
         self.strategy.attach(mem);
+    }
+
+    /// Narrows a batched span's `horizon` so it ends on the quantum
+    /// after which [`CkptEngine::observe`] would act: the next
+    /// instruction trigger and the strategy's voltage threshold. Power
+    /// edges end every span anyway, and on every other quantum `observe`
+    /// is a no-op, so it need only run at span ends.
+    pub fn bound(&self, horizon: &mut Horizon) {
+        horizon.instructions = Some(self.next_trigger);
+        horizon.v_cross = self.strategy.v_cross();
     }
 
     /// The per-step hook: feed the power edge (if any) the step
@@ -878,7 +906,7 @@ impl CkptEngine {
             rec.push(snap.sram[idx + 1]);
         }
         let seq = self.seq + 1;
-        let base = peek_span(dev.mem(), base_addr(arena.half), IMAGE_BYTES);
+        let base = fram_span(dev.mem(), base_addr(arena.half), IMAGE_BYTES);
         let hdr = {
             let mut h = Header {
                 seq,
@@ -888,7 +916,7 @@ impl CkptEngine {
                 delta_len: rec_len as u16,
                 digest: 0,
             };
-            h.digest = fnv64(&[&h.prefix_bytes(), &base, &rec]);
+            h.digest = fnv64(&[&h.prefix_bytes(), base, &rec]);
             h
         };
         let mut writes = Vec::with_capacity(rec_len + 20);

@@ -18,7 +18,7 @@
 
 use crate::rpc::{
     self, notification_line, obj, param_bool, param_f64, param_ms, param_str, param_u16, param_u64,
-    parse_request, RpcError, RpcRequest,
+    param_us, parse_request, RpcError, RpcRequest,
 };
 use edb_core::fleet::{FleetConfig, FleetSim};
 use edb_core::replay::verify_fleet;
@@ -894,14 +894,19 @@ impl SessionHub {
                 distance_m: distance,
             };
         }
-        if let Some(us) = param_u64(p, "deadline_us") {
-            spec.edb.cmd_timeout = SimTime::from_us(us);
+        if let Some(deadline) = param_us(p, "deadline_us")? {
+            spec.edb.cmd_timeout = deadline;
         }
         if let Some(retries) = param_u64(p, "retries") {
-            spec.edb.cmd_retries = retries as u32;
+            spec.edb.cmd_retries = u32::try_from(retries).map_err(|_| {
+                RpcError::protocol(
+                    rpc::INVALID_PARAMS,
+                    format!("`retries` = {retries} exceeds {}", u32::MAX),
+                )
+            })?;
         }
-        if let Some(us) = param_u64(p, "retry_flush_us") {
-            spec.edb.retry_flush = SimTime::from_us(us);
+        if let Some(flush) = param_us(p, "retry_flush_us")? {
+            spec.edb.retry_flush = flush;
         }
         if let Some(fault) = p.get_field("fault") {
             spec.channel_fault = Some(ChannelFaultConfig {
@@ -1102,6 +1107,41 @@ mod tests {
         assert!(err.contains(r#""code":-32602"#), "{err}");
         let ran = call(&hub, &mut conn, 12, "fleet_run", r#"{"fleet":1,"ms":5}"#);
         assert!(ran.contains(r#""result""#), "{ran}");
+
+        // The debugger's wire budget: microsecond durations that overflow
+        // the clock and retry counts past `u32` are rejected, not
+        // truncated or wrapped.
+        let sessions = hub.session_count();
+        let create = |extra: &str| {
+            format!(
+                r#"{{"firmware":"assert","harvester":{{"voc":3.2,"r":220.0}},"wait_session_ms":2000,{extra}}}"#
+            )
+        };
+        for (id, extra) in [
+            (13, format!(r#""deadline_us":{max}"#)),
+            (14, format!(r#""retry_flush_us":{max}"#)),
+            (15, format!(r#""retries":{}"#, u64::from(u32::MAX) + 1)),
+        ] {
+            let err = call(&hub, &mut conn, id, "create", &create(&extra));
+            assert!(err.contains(r#""code":-32602"#), "{extra}: {err}");
+        }
+        assert_eq!(
+            hub.session_count(),
+            sessions,
+            "rejected creates add nothing"
+        );
+        // The largest budget that fits still runs: the per-command
+        // timeout times the retry budget saturates instead of
+        // overflowing.
+        let huge = create(&format!(
+            r#""deadline_us":{},"retries":{}"#,
+            max / 1_000,
+            u32::MAX
+        ));
+        let created = call(&hub, &mut conn, 16, "create", &huge);
+        assert!(created.contains(r#""session_active":true"#), "{created}");
+        let read = call(&hub, &mut conn, 17, "read", r#"{"addr":17408}"#);
+        assert!(read.contains(r#""result""#), "{read}");
     }
 
     #[test]

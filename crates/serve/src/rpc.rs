@@ -219,16 +219,34 @@ pub(crate) fn param_ms(
     name: &str,
     from: SimTime,
 ) -> Result<Option<SimTime>, RpcError> {
-    let Some(ms) = param_u64(params, name) else {
+    param_duration(params, name, from, 1_000_000, "ms")
+}
+
+/// Reads a microsecond duration parameter as simulated time, checked
+/// like [`param_ms`] counted from the clock's origin.
+pub(crate) fn param_us(params: &Value, name: &str) -> Result<Option<SimTime>, RpcError> {
+    param_duration(params, name, SimTime::ZERO, 1_000, "us")
+}
+
+/// The checked reader behind [`param_ms`] and [`param_us`]: `ns_per`
+/// nanoseconds per `unit`.
+fn param_duration(
+    params: &Value,
+    name: &str,
+    from: SimTime,
+    ns_per: u64,
+    unit: &str,
+) -> Result<Option<SimTime>, RpcError> {
+    let Some(n) = param_u64(params, name) else {
         return Ok(None);
     };
-    ms.checked_mul(1_000_000)
+    n.checked_mul(ns_per)
         .filter(|ns| from.as_ns().checked_add(*ns).is_some())
         .map(|ns| Some(SimTime::from_ns(ns)))
         .ok_or_else(|| {
             RpcError::protocol(
                 INVALID_PARAMS,
-                format!("`{name}` = {ms} ms overflows the simulation clock"),
+                format!("`{name}` = {n} {unit} overflows the simulation clock"),
             )
         })
 }
