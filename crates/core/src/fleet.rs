@@ -206,6 +206,8 @@ pub struct FleetSim {
     now: SimTime,
     round_open: bool,
     slots_left: u32,
+    /// Responders of the slot in flight, reused from slot to slot.
+    responders: Vec<usize>,
     events: Vec<FleetEvent>,
 }
 
@@ -230,6 +232,7 @@ impl FleetSim {
             now: SimTime::ZERO,
             round_open: false,
             slots_left: 0,
+            responders: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -277,7 +280,8 @@ impl FleetSim {
         }
         self.slots_left -= 1;
 
-        let responders = self.fleet.slot_responders();
+        let mut responders = std::mem::take(&mut self.responders);
+        self.fleet.open_slot(&mut responders);
         let outcome = match responders.len() {
             0 => {
                 self.advance(self.config.timing.empty_slot_timeout);
@@ -318,7 +322,6 @@ impl FleetSim {
                 SlotOutcome::Collision
             }
         };
-        self.fleet.advance_slot();
         let restart = self.reader.report_slot(outcome);
         if self.config.record_events {
             self.events.push(FleetEvent::Slot {
@@ -330,6 +333,7 @@ impl FleetSim {
                 },
             });
         }
+        self.responders = responders;
         if restart {
             self.slots_left = 0;
         }
@@ -399,14 +403,29 @@ impl FleetSim {
     }
 }
 
+/// What [`single_tag_reference`] simulated: its event stream and the
+/// tag's final electrical state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReferenceRun {
+    /// Every round and slot, as `FleetSim` records them.
+    pub events: Vec<FleetEvent>,
+    /// Final capacitor voltage (V).
+    pub v_cap: f64,
+    /// True when the tag ended powered.
+    pub powered: bool,
+    /// Powered seconds accumulated over the run.
+    pub active_secs: f64,
+}
+
 /// An independently written scalar single-tag simulation of the same
 /// spec — plain locals, no struct-of-arrays, no [`Fleet`].
 ///
 /// The fleet equivalence proptest holds `FleetSim` with `n_tags = 1`
-/// to this function's event stream: any drift between the vectorized
-/// span-advance path and a straightforward scalar implementation shows
-/// up as a diverging event.
-pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
+/// to this function's event stream and final tag state: any drift
+/// between the vectorized span-advance path and a straightforward
+/// scalar implementation shows up as a diverging event or a differing
+/// bit of the tag's voltage or powered time.
+pub fn single_tag_reference(config: FleetConfig, seed: u64) -> ReferenceRun {
     use edb_energy::{rc_advance, rc_time_to};
     assert_eq!(config.n_tags, 1, "reference models exactly one tag");
     let p = config.tag;
@@ -420,6 +439,7 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
     let mut on = false;
     let mut slot: Option<u32> = None;
     let mut inventoried = false;
+    let mut active = 0.0f64;
     let mut rng = {
         let mut s = seed ^ 0u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         splitmix64(&mut s);
@@ -436,6 +456,7 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
                    on: &mut bool,
                    slot: &mut Option<u32>,
                    inventoried: &mut bool,
+                   active: &mut f64,
                    now: &mut SimTime,
                    span: SimTime| {
         let mut remaining = span.as_secs_f64();
@@ -448,10 +469,12 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
                         *on = false;
                         *slot = None;
                         *inventoried = false;
+                        *active += t;
                         remaining -= t;
                     }
                     _ => {
                         *v = rc_advance(*v, v_inf, tau, remaining);
+                        *active += remaining;
                         remaining = 0.0;
                     }
                 }
@@ -478,7 +501,15 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
             let (cmd, slots) = reader.open_round();
             let adjust = matches!(cmd, Command::QueryAdjust { .. });
             let air = config.timing.air_time(cmd.encode().len());
-            advance(&mut v, &mut on, &mut slot, &mut inventoried, &mut now, air);
+            advance(
+                &mut v,
+                &mut on,
+                &mut slot,
+                &mut inventoried,
+                &mut active,
+                &mut now,
+                air,
+            );
             slot = if on && !inventoried {
                 let mask = (1u64 << reader.q()) - 1;
                 Some((splitmix64(&mut rng) & mask) as u32)
@@ -496,13 +527,29 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
         if !opening {
             let cmd = reader.next_slot();
             let air = config.timing.air_time(cmd.encode().len());
-            advance(&mut v, &mut on, &mut slot, &mut inventoried, &mut now, air);
+            advance(
+                &mut v,
+                &mut on,
+                &mut slot,
+                &mut inventoried,
+                &mut active,
+                &mut now,
+                air,
+            );
         }
         slots_left -= 1;
 
         let outcome = if slot == Some(0) {
             let air = config.timing.air_time(RN16_BYTES + ACK_BYTES + EPC_BYTES);
-            advance(&mut v, &mut on, &mut slot, &mut inventoried, &mut now, air);
+            advance(
+                &mut v,
+                &mut on,
+                &mut slot,
+                &mut inventoried,
+                &mut active,
+                &mut now,
+                air,
+            );
             let u = (splitmix64(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
             let corrupt = u < p_corrupt;
             v = (v - p.i_tx * air.as_secs_f64() / p.capacitance).max(0.0);
@@ -526,6 +573,7 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
                 &mut on,
                 &mut slot,
                 &mut inventoried,
+                &mut active,
                 &mut now,
                 config.timing.empty_slot_timeout,
             );
@@ -545,7 +593,12 @@ pub fn single_tag_reference(config: FleetConfig, seed: u64) -> Vec<FleetEvent> {
             slots_left = 0;
         }
     }
-    events
+    ReferenceRun {
+        events,
+        v_cap: v,
+        powered: on,
+        active_secs: active,
+    }
 }
 
 #[cfg(test)]
@@ -670,6 +723,10 @@ mod tests {
         let mut sim = FleetSim::new(cfg, 1234);
         sim.run();
         let reference = single_tag_reference(cfg, 1234);
-        assert_eq!(sim.events(), reference.as_slice());
+        assert_eq!(sim.events(), reference.events.as_slice());
+        let tag = sim.tag_status(0).expect("one tag");
+        assert_eq!(tag.v_cap.to_bits(), reference.v_cap.to_bits());
+        assert_eq!(tag.powered, reference.powered);
+        assert_eq!(tag.active_secs.to_bits(), reference.active_secs.to_bits());
     }
 }

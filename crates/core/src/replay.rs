@@ -35,7 +35,7 @@ use edb_energy::{
     ConstantCurrent, Fading, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
 };
 pub use edb_replay::Recording;
-use edb_replay::{digest, Entry, SnapshotState};
+use edb_replay::{digest, CanonicalDigest, Entry, SnapshotState};
 use edb_runtime::ckpt::CkptConfig;
 use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use std::sync::Arc;
@@ -1062,49 +1062,49 @@ impl FleetSpec {
 }
 
 /// Digest of a fleet simulation's observable state: the aggregate
-/// stats plus every tag's electrical state (capacitor bits, mode,
-/// inventory flag, power cycles), folded through the canonical value
-/// encoding. Two sims digest equal iff a replay is bit-faithful at the
-/// level the RPC surface can observe.
+/// stats plus the electrical state (capacitor bits, mode, inventory
+/// flag, power cycles) of every tag whose global index is below the
+/// sim's tag count — every tag of a whole fleet; of a cell based at a
+/// nonzero index, only those below its length. Two sims digest equal
+/// iff a replay is bit-faithful at the level the RPC surface can
+/// observe.
+///
+/// The nodes stream straight into the canonical digest, in the order
+/// and shape of the map `now_ns, q, rounds, slots, epcs, collisions,
+/// unique, tag_cycles, tags` whose `tags` entry is a sequence of
+/// `[v_cap, powered, inventoried, ever_read, power_cycles,
+/// active_secs]` — the digest of that `Value` tree, built without it.
 pub fn fleet_digest(sim: &FleetSim) -> u64 {
     let stats = sim.stats();
-    let mut tags = Vec::with_capacity(stats.tags as usize);
-    for g in 0..stats.tags as usize {
-        if let Some(t) = sim.tag_status(g) {
-            tags.push(Value::Seq(vec![
-                Value::F64(t.v_cap),
-                Value::Bool(t.powered),
-                Value::Bool(t.inventoried),
-                Value::Bool(t.ever_read),
-                Value::U64(u64::from(t.power_cycles)),
-                Value::F64(t.active_secs),
-            ]));
-        }
+    let tags = || (0..stats.tags as usize).filter_map(|g| sim.tag_status(g));
+    let mut sink = CanonicalDigest::default();
+    sink.map(9);
+    for (key, value) in [
+        ("now_ns", sim.now().as_ns()),
+        ("q", u64::from(sim.reader().q())),
+        ("rounds", stats.gen2.rounds),
+        ("slots", stats.gen2.slots()),
+        ("epcs", stats.gen2.epcs_read),
+        ("collisions", stats.gen2.collision_slots),
+        ("unique", stats.unique_tags_read),
+    ] {
+        sink.str(key);
+        sink.u64(value);
     }
-    let state = Value::Map(vec![
-        (Value::Str("now_ns".into()), Value::U64(sim.now().as_ns())),
-        (
-            Value::Str("q".into()),
-            Value::U64(u64::from(sim.reader().q())),
-        ),
-        (Value::Str("rounds".into()), Value::U64(stats.gen2.rounds)),
-        (Value::Str("slots".into()), Value::U64(stats.gen2.slots())),
-        (Value::Str("epcs".into()), Value::U64(stats.gen2.epcs_read)),
-        (
-            Value::Str("collisions".into()),
-            Value::U64(stats.gen2.collision_slots),
-        ),
-        (
-            Value::Str("unique".into()),
-            Value::U64(stats.unique_tags_read),
-        ),
-        (
-            Value::Str("tag_cycles".into()),
-            Value::F64(stats.tag_cycles),
-        ),
-        (Value::Str("tags".into()), Value::Seq(tags)),
-    ]);
-    digest(&state)
+    sink.str("tag_cycles");
+    sink.f64(stats.tag_cycles);
+    sink.str("tags");
+    sink.seq(tags().count());
+    for t in tags() {
+        sink.seq(6);
+        sink.f64(t.v_cap);
+        sink.bool(t.powered);
+        sink.bool(t.inventoried);
+        sink.bool(t.ever_read);
+        sink.u64(u64::from(t.power_cycles));
+        sink.f64(t.active_secs);
+    }
+    sink.0.finish()
 }
 
 /// Applies one recorded op to a live simulation — the single advance
@@ -1232,6 +1232,53 @@ pub fn verify_fleet(recording: &Recording) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::debugger::DebugRequest;
+
+    /// The `Value` tree `fleet_digest` once built and digested.
+    fn fleet_state_tree(sim: &FleetSim) -> Value {
+        let stats = sim.stats();
+        let mut tags = Vec::new();
+        for g in 0..stats.tags as usize {
+            if let Some(t) = sim.tag_status(g) {
+                tags.push(Value::Seq(vec![
+                    Value::F64(t.v_cap),
+                    Value::Bool(t.powered),
+                    Value::Bool(t.inventoried),
+                    Value::Bool(t.ever_read),
+                    Value::U64(u64::from(t.power_cycles)),
+                    Value::F64(t.active_secs),
+                ]));
+            }
+        }
+        let u = |k: &str, v: u64| (Value::Str(k.into()), Value::U64(v));
+        Value::Map(vec![
+            u("now_ns", sim.now().as_ns()),
+            u("q", u64::from(sim.reader().q())),
+            u("rounds", stats.gen2.rounds),
+            u("slots", stats.gen2.slots()),
+            u("epcs", stats.gen2.epcs_read),
+            u("collisions", stats.gen2.collision_slots),
+            u("unique", stats.unique_tags_read),
+            (
+                Value::Str("tag_cycles".into()),
+                Value::F64(stats.tag_cycles),
+            ),
+            (Value::Str("tags".into()), Value::Seq(tags)),
+        ])
+    }
+
+    #[test]
+    fn streamed_fleet_digest_equals_the_value_tree_digest() {
+        let mut cfg = FleetConfig::standard(1_250);
+        cfg.duration = SimTime::from_ms(150);
+        // A cell at global base 0 digests its tags; one at a nonzero
+        // base only those whose global index is below its length.
+        for (base, n) in [(0, 625), (625, 625), (400, 500)] {
+            let mut sim = FleetSim::new_cell(cfg, base, n, 7 + base as u64);
+            assert_eq!(fleet_digest(&sim), digest(&fleet_state_tree(&sim)));
+            sim.run();
+            assert_eq!(fleet_digest(&sim), digest(&fleet_state_tree(&sim)));
+        }
+    }
 
     #[test]
     fn fleet_recordings_replay_and_verify() {

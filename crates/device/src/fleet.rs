@@ -7,10 +7,13 @@
 //! therefore models each tag as what it electrically is between RF
 //! events — a first-order RC node (Thévenin harvester into the 47 µF
 //! storage cap) with a piecewise-constant load — and advances *every*
-//! tag from one Gen2 slot boundary to the next with one closed-form
-//! evaluation ([`rc_advance`]/[`rc_time_to`]), handling the `v_on`
-//! turn-on and `v_off` brown-out crossings analytically inside the
-//! span.
+//! tag from one Gen2 slot boundary to the next in closed form. One
+//! decay factor per span ([`rc_decay`]) is shared by every tag, so a
+//! tag costs one multiply-add ([`rc_settle`]) plus a crossing
+//! pre-filter ([`rc_span_misses`]); `ln` runs only for tags near a
+//! threshold, which take the exact piecewise path ([`rc_time_to`] /
+//! [`rc_advance`]) through the `v_on` turn-on and `v_off` brown-out
+//! crossings inside the span.
 //!
 //! State is laid out struct-of-arrays: one `Vec` per field (`v_cap`,
 //! `mode`, `slot`, `rng`, …), so the hot span-advance loop streams
@@ -23,7 +26,7 @@
 //! `active-seconds × clock-rate` in [`Fleet::tag_cycles`] — the
 //! numerator of the benchmark's tag·cycles/sec throughput metric.
 
-use edb_energy::{rc_advance, rc_time_to, SimTime};
+use edb_energy::{rc_advance, rc_decay, rc_settle, rc_span_misses, rc_time_to, SimTime};
 use edb_energy::{WISP5_CAPACITANCE, WISP5_V_OFF, WISP5_V_ON};
 use serde::{Deserialize, Serialize};
 
@@ -239,59 +242,91 @@ impl Fleet {
     /// span (piecewise, at most a few segments per tag per slot).
     ///
     /// Powered tags draw `i_listen`; unpowered tags charge unloaded.
+    /// The span's decay factor is computed once: a tag whose settled
+    /// voltage [`rc_span_misses`] its threshold takes it in one
+    /// [`rc_settle`], the same operations [`rc_advance`] runs; only a
+    /// tag that may cross goes through the exact crossing loop.
     pub fn advance_span(&mut self, span: SimTime) {
-        let dt_total = span.as_secs_f64();
-        if dt_total <= 0.0 {
+        let dt = span.as_secs_f64();
+        if dt <= 0.0 {
             return;
         }
-        let tau = self.params.tau();
+        let p = self.params;
+        let tau = p.tau();
+        let decay = rc_decay(tau, dt);
         for i in 0..self.v_cap.len() {
-            let mut remaining = dt_total;
-            // A tag can cross at most a handful of thresholds per
-            // millisecond-scale span; the loop converges because every
-            // iteration either consumes the whole remainder or moves
-            // strictly past a crossing.
-            while remaining > 0.0 {
-                let v = self.v_cap[i];
-                match self.mode[i] {
-                    TagMode::Off => {
-                        let v_inf = self.params.v_inf(self.v_oc[i], 0.0);
-                        match rc_time_to(v, v_inf, tau, self.params.v_on) {
-                            Some(t) if t <= remaining => {
-                                // Turn-on mid-span: power up, lose
-                                // volatile slot state, keep charging
-                                // under load for the rest.
-                                self.v_cap[i] = self.params.v_on;
-                                self.mode[i] = TagMode::On;
-                                self.slot[i] = u32::MAX;
-                                remaining -= t;
-                            }
-                            _ => {
-                                self.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
-                                remaining = 0.0;
-                            }
+            let on = self.mode[i] == TagMode::On;
+            let (i_load, v_target) = if on {
+                (p.i_listen, p.v_off)
+            } else {
+                (0.0, p.v_on)
+            };
+            let v = self.v_cap[i];
+            let v_inf = p.v_inf(self.v_oc[i], i_load);
+            let v_end = rc_settle(v, v_inf, decay);
+            if rc_span_misses(v, v_inf, v_target, v_end) {
+                debug_assert!(
+                    rc_time_to(v, v_inf, tau, v_target).is_none_or(|t| t > dt),
+                    "tag {i}: pre-filter passed a crossing"
+                );
+                self.v_cap[i] = v_end;
+                if on {
+                    self.active_s[i] += dt;
+                }
+            } else {
+                self.advance_tag_exact(i, dt, tau);
+            }
+        }
+    }
+
+    /// Advances tag `i` by `dt` seconds through every threshold it
+    /// crosses on the way: one closed-form segment per crossing.
+    fn advance_tag_exact(&mut self, i: usize, dt: f64, tau: f64) {
+        let mut remaining = dt;
+        // A tag can cross at most a handful of thresholds per
+        // millisecond-scale span; the loop converges because every
+        // iteration either consumes the whole remainder or moves
+        // strictly past a crossing.
+        while remaining > 0.0 {
+            let v = self.v_cap[i];
+            match self.mode[i] {
+                TagMode::Off => {
+                    let v_inf = self.params.v_inf(self.v_oc[i], 0.0);
+                    match rc_time_to(v, v_inf, tau, self.params.v_on) {
+                        Some(t) if t <= remaining => {
+                            // Turn-on mid-span: power up, lose volatile
+                            // slot state, keep charging under load for
+                            // the rest.
+                            self.v_cap[i] = self.params.v_on;
+                            self.mode[i] = TagMode::On;
+                            self.slot[i] = u32::MAX;
+                            remaining -= t;
+                        }
+                        _ => {
+                            self.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
+                            remaining = 0.0;
                         }
                     }
-                    TagMode::On => {
-                        let v_inf = self.params.v_inf(self.v_oc[i], self.params.i_listen);
-                        match rc_time_to(v, v_inf, tau, self.params.v_off) {
-                            Some(t) if t <= remaining => {
-                                // Brown-out mid-span: all volatile
-                                // state dies — slot counter, session
-                                // inventoried flag.
-                                self.v_cap[i] = self.params.v_off;
-                                self.mode[i] = TagMode::Off;
-                                self.slot[i] = u32::MAX;
-                                self.inventoried[i] = false;
-                                self.power_cycles[i] += 1;
-                                self.active_s[i] += t;
-                                remaining -= t;
-                            }
-                            _ => {
-                                self.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
-                                self.active_s[i] += remaining;
-                                remaining = 0.0;
-                            }
+                }
+                TagMode::On => {
+                    let v_inf = self.params.v_inf(self.v_oc[i], self.params.i_listen);
+                    match rc_time_to(v, v_inf, tau, self.params.v_off) {
+                        Some(t) if t <= remaining => {
+                            // Brown-out mid-span: all volatile state
+                            // dies — slot counter, session inventoried
+                            // flag.
+                            self.v_cap[i] = self.params.v_off;
+                            self.mode[i] = TagMode::Off;
+                            self.slot[i] = u32::MAX;
+                            self.inventoried[i] = false;
+                            self.power_cycles[i] += 1;
+                            self.active_s[i] += t;
+                            remaining -= t;
+                        }
+                        _ => {
+                            self.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
+                            self.active_s[i] += remaining;
+                            remaining = 0.0;
                         }
                     }
                 }
@@ -313,33 +348,35 @@ impl Fleet {
         }
     }
 
-    /// Local indices of tags replying in the current slot (counter 0).
-    pub fn slot_responders(&self) -> Vec<usize> {
-        (0..self.slot.len())
-            .filter(|&i| self.slot[i] == 0)
-            .collect()
-    }
-
-    /// Ends the current slot: decrement live counters (QueryRep).
-    /// Tags holding 0 that were not resolved fall out of the round
-    /// (their reply went unanswered), matching a real tag arbitrating
-    /// to the `arbitrate` state only on a future draw.
-    pub fn advance_slot(&mut self) {
-        for s in self.slot.iter_mut() {
-            *s = match *s {
-                u32::MAX => u32::MAX,
-                0 => u32::MAX,
-                n => n - 1,
-            };
+    /// Opens the next slot of the round in one pass: fills `responders`
+    /// (cleared first) with the local indices of tags replying in it
+    /// (counter 0), takes them out of the round, and counts every other
+    /// live counter down (QueryRep). A responder contends again only
+    /// through [`redraw_after_collision`](Self::redraw_after_collision)
+    /// or the next round's draw, as a real tag whose reply went
+    /// unanswered does. Reusing one buffer across slots keeps the pass
+    /// allocation-free.
+    pub fn open_slot(&mut self, responders: &mut Vec<usize>) {
+        responders.clear();
+        for (i, s) in self.slot.iter_mut().enumerate() {
+            match *s {
+                u32::MAX => {}
+                0 => {
+                    responders.push(i);
+                    *s = u32::MAX;
+                }
+                n => *s = n - 1,
+            }
         }
     }
 
-    /// Redraws tag `i`'s counter after a collision (the Gen2 spec lets
-    /// collided tags re-arbitrate within the round): uniform in
-    /// `1..=2^q` so it contends on a strictly later slot.
+    /// Redraws tag `i`'s counter after a collision in the slot just
+    /// opened (the Gen2 spec lets collided tags re-arbitrate within the
+    /// round): uniform over the next `2^q` slots, so it contends on a
+    /// strictly later slot.
     pub fn redraw_after_collision(&mut self, i: usize, q: u8) {
         let mask = (1u64 << q) - 1;
-        self.slot[i] = (splitmix64(&mut self.rng[i]) & mask) as u32 + 1;
+        self.slot[i] = (splitmix64(&mut self.rng[i]) & mask) as u32;
     }
 
     /// Marks tag `i` inventoried and charges its reply: the EPC
@@ -444,6 +481,130 @@ mod tests {
         assert!((a.v_cap(0) - b.v_cap(0)).abs() < 1e-9);
     }
 
+    /// The span advance as it was before the decay factor was hoisted,
+    /// kept verbatim: every tag runs the exact crossing loop. The
+    /// oracle for `hoisted_span_matches_per_tag_loop_bit_for_bit`.
+    fn advance_span_reference(f: &mut Fleet, span: SimTime) {
+        let dt_total = span.as_secs_f64();
+        if dt_total <= 0.0 {
+            return;
+        }
+        let tau = f.params.tau();
+        for i in 0..f.v_cap.len() {
+            let mut remaining = dt_total;
+            while remaining > 0.0 {
+                let v = f.v_cap[i];
+                match f.mode[i] {
+                    TagMode::Off => {
+                        let v_inf = f.params.v_inf(f.v_oc[i], 0.0);
+                        match rc_time_to(v, v_inf, tau, f.params.v_on) {
+                            Some(t) if t <= remaining => {
+                                f.v_cap[i] = f.params.v_on;
+                                f.mode[i] = TagMode::On;
+                                f.slot[i] = u32::MAX;
+                                remaining -= t;
+                            }
+                            _ => {
+                                f.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
+                                remaining = 0.0;
+                            }
+                        }
+                    }
+                    TagMode::On => {
+                        let v_inf = f.params.v_inf(f.v_oc[i], f.params.i_listen);
+                        match rc_time_to(v, v_inf, tau, f.params.v_off) {
+                            Some(t) if t <= remaining => {
+                                f.v_cap[i] = f.params.v_off;
+                                f.mode[i] = TagMode::Off;
+                                f.slot[i] = u32::MAX;
+                                f.inventoried[i] = false;
+                                f.power_cycles[i] += 1;
+                                f.active_s[i] += t;
+                                remaining -= t;
+                            }
+                            _ => {
+                                f.v_cap[i] = rc_advance(v, v_inf, tau, remaining);
+                                f.active_s[i] += remaining;
+                                remaining = 0.0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_span_matches_per_tag_loop_bit_for_bit() {
+        // 2 000 spans × 64 tags = 128 000 seeded cases. Each tag draws
+        // its mode, v ∈ [0, 3] V and d ∈ [0.3, 2] m; every span, from
+        // 1 µs to 10 ms log-uniform, is shared by its 64 tags. A third
+        // of the tags sit within ±1e-6 V of their threshold, and a sixth
+        // start exactly where the span ends at the crossing, so the
+        // pre-filter must hand them to the exact loop.
+        const TAGS: usize = 64;
+        fn unit(rng: &mut u64) -> f64 {
+            (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
+        }
+        let p = params();
+        let tau = p.tau();
+        let mut rng = 0x5EED_F1EE_u64;
+        let mut crossings = 0u32;
+        for _ in 0..2_000 {
+            let span = SimTime::from_ns((1e3 * 1e4f64.powf(unit(&mut rng))) as u64);
+            let dt = span.as_secs_f64();
+            let d: Vec<f64> = (0..TAGS).map(|_| 0.3 + 1.7 * unit(&mut rng)).collect();
+            let mut fast = Fleet::new(p, 0, TAGS, 0, |g| d[g]);
+            for i in 0..TAGS {
+                let on = unit(&mut rng) < 0.5;
+                let (mode, i_load, target) = if on {
+                    (TagMode::On, p.i_listen, p.v_off)
+                } else {
+                    (TagMode::Off, 0.0, p.v_on)
+                };
+                let v_inf = p.v_inf(fast.v_oc[i], i_load);
+                fast.mode[i] = mode;
+                fast.v_cap[i] = match i % 6 {
+                    0 | 1 => target + 2e-6 * (unit(&mut rng) - 0.5),
+                    2 => (v_inf + (target - v_inf) / rc_decay(tau, dt)).max(0.0),
+                    _ => 3.0 * unit(&mut rng),
+                };
+                fast.slot[i] = if on {
+                    (splitmix64(&mut rng) % 16) as u32
+                } else {
+                    u32::MAX
+                };
+                fast.inventoried[i] = on && unit(&mut rng) < 0.5;
+                fast.power_cycles[i] = (splitmix64(&mut rng) % 4) as u32;
+                fast.active_s[i] = unit(&mut rng);
+            }
+            let mut exact = fast.clone();
+            fast.advance_span(span);
+            advance_span_reference(&mut exact, span);
+            for i in 0..TAGS {
+                let case = format!("span {dt:e} s, tag {i}");
+                assert_eq!(fast.v_cap[i].to_bits(), exact.v_cap[i].to_bits(), "{case}");
+                assert_eq!(fast.mode[i], exact.mode[i], "{case}");
+                assert_eq!(fast.slot[i], exact.slot[i], "{case}");
+                assert_eq!(fast.inventoried[i], exact.inventoried[i], "{case}");
+                assert_eq!(fast.power_cycles[i], exact.power_cycles[i], "{case}");
+                assert_eq!(
+                    fast.active_s[i].to_bits(),
+                    exact.active_s[i].to_bits(),
+                    "{case}"
+                );
+            }
+            // A turn-on leaves the slot cleared; a brown-out the mode Off.
+            crossings += (0..TAGS)
+                .filter(|&i| exact.slot[i] == u32::MAX && exact.mode[i] == TagMode::On)
+                .count() as u32;
+        }
+        assert!(
+            crossings > 1_000,
+            "only {crossings} turn-ons: the fallback barely ran"
+        );
+    }
+
     #[test]
     fn round_draws_and_slot_flow() {
         let mut f = Fleet::new(params(), 0, 8, 42, |_| 0.5);
@@ -453,13 +614,17 @@ mod tests {
         for i in 0..8 {
             assert!(f.slot[i] < 4, "drawn within 2^q");
         }
-        let responders = f.slot_responders();
-        for &i in &responders {
-            assert_eq!(f.slot[i], 0);
-        }
-        f.advance_slot();
-        for &i in &responders {
-            assert_eq!(f.slot[i], u32::MAX, "unresolved 0-holders drop out");
+        let before = f.slot.clone();
+        let mut responders = vec![usize::MAX; 3];
+        f.open_slot(&mut responders);
+        let zeros: Vec<usize> = (0..8).filter(|&i| before[i] == 0).collect();
+        assert_eq!(responders, zeros, "the buffer holds exactly the 0-holders");
+        for (i, &b) in before.iter().enumerate() {
+            let want = if b == 0 { u32::MAX } else { b - 1 };
+            assert_eq!(
+                f.slot[i], want,
+                "0-holders leave the round, the rest count down"
+            );
         }
     }
 

@@ -12,7 +12,16 @@
 //!
 //! and solves the same equation for threshold-crossing times (turn-on
 //! at `v_on`, brown-out at `v_off`), so a span of milliseconds costs
-//! one exponential per tag rather than thousands of Euler steps.
+//! a few flops per tag rather than thousands of Euler steps.
+//!
+//! The arithmetic is split so that nodes sharing `τ` and a span share
+//! its exponential: [`rc_decay`] computes `e^(−dt/τ)` once, [`rc_settle`]
+//! applies it to one node, and [`rc_advance`] is exactly the two
+//! composed — so a caller that hoists the decay factor out of a loop
+//! runs the same operation sequence per node as one that calls
+//! [`rc_advance`], by construction. [`rc_span_misses`] is the matching
+//! crossing pre-filter: it proves from the settled voltage alone, with
+//! no `ln`, that a span ended short of a threshold.
 //!
 //! Determinism note: `exp`/`ln` come from [`exp_det`]/[`ln_det`], not
 //! libm. The libm transcendentals are allowed to differ in the last ulp
@@ -130,17 +139,43 @@ fn scale_by_pow2(x: f64, k: i64) -> f64 {
     f64::from_bits((x.to_bits() & !0x7FF0_0000_0000_0000) | ((e as u64) << 52))
 }
 
+/// The decay factor `e^(−dt/τ)` of an RC span of `dt` seconds: the
+/// share of `v0 − v_inf` still left at the span's end. It depends on
+/// neither voltage, so every node with the same `τ` shares it.
+#[inline]
+pub fn rc_decay(tau: f64, dt: f64) -> f64 {
+    exp_det(-dt / tau)
+}
+
+/// Settles a node from `v0` toward `v_inf` by a span whose
+/// [`rc_decay`] factor is `decay`: `v_inf + (v0 − v_inf)·decay`.
+#[inline]
+pub fn rc_settle(v0: f64, v_inf: f64, decay: f64) -> f64 {
+    v_inf + (v0 - v_inf) * decay
+}
+
 /// Advances a first-order RC node `dt` seconds toward its asymptote.
 ///
 /// `v0` is the present voltage, `v_inf` the loaded equilibrium
 /// (`v_oc − i_load·R` for a Thévenin source with a constant load), and
 /// `tau` the time constant `R·C`. `dt ≤ 0` returns `v0` unchanged.
+/// Otherwise this is `rc_settle(v0, v_inf, rc_decay(tau, dt))`, bit for
+/// bit.
 pub fn rc_advance(v0: f64, v_inf: f64, tau: f64, dt: f64) -> f64 {
     debug_assert!(tau > 0.0, "time constant must be positive");
     if dt <= 0.0 {
         return v0;
     }
-    v_inf + (v0 - v_inf) * exp_det(-dt / tau)
+    rc_settle(v0, v_inf, rc_decay(tau, dt))
+}
+
+/// True when a node at `v0 − v_inf = from` can never reach the target
+/// at `v_target − v_inf = to`: the target is the asymptote or `v0`
+/// itself, lies on the other side of the asymptote, or is no closer to
+/// it than `v0`.
+#[inline]
+fn never_reaches(from: f64, to: f64) -> bool {
+    from == 0.0 || to == 0.0 || (from > 0.0) != (to > 0.0) || to.abs() >= from.abs()
 }
 
 /// Time for the node to reach `v_target`, or `None` when it never will
@@ -152,13 +187,42 @@ pub fn rc_time_to(v0: f64, v_inf: f64, tau: f64, v_target: f64) -> Option<f64> {
     debug_assert!(tau > 0.0, "time constant must be positive");
     let from = v0 - v_inf;
     let to = v_target - v_inf;
-    // Same side of the asymptote, and strictly closer to it than v0 —
-    // otherwise the trajectory never gets there.
-    if from == 0.0 || to == 0.0 || (from > 0.0) != (to > 0.0) || to.abs() >= from.abs() {
+    if never_reaches(from, to) {
         return None;
     }
     let t = tau * ln_det(from / to);
     (t >= 0.0).then_some(t)
+}
+
+/// How far short of a threshold a settled voltage must stop for
+/// [`rc_span_misses`] to declare the span crossing-free (V).
+pub const RC_MISS_MARGIN: f64 = 1e-9;
+
+/// True when a span that settled a node from `v0` to `v_end` (toward
+/// `v_inf`) provably did not reach `v_target`, so that
+/// `rc_time_to(v0, v_inf, τ, v_target)` is `None` or a time past the
+/// span's end. Needs no `ln`.
+///
+/// Either the target is unreachable by the same test [`rc_time_to`]
+/// makes, or `v_end` stops short of it by at least
+/// [`RC_MISS_MARGIN`] = `M`. The margin makes the second case exact,
+/// not approximate. Write `to = v_target − v_inf` and
+/// `δ = v_end − v_target` (on `to`'s side, `|δ| ≥ M`). The true
+/// crossing then lies `τ·ln(1 + δ/to)` past the span's end, which is
+/// at least `τ·M/|v0 − v_inf|`: 8.8e-12 s for `τ` = 70.5 ms and
+/// `|v0 − v_inf|` ≤ 8 V. The computed crossing time differs from the
+/// true one only through a few ulps (~1e-15 V) of rounding in
+/// `v0 − v_inf`, `to` and `v_end`, and the last-place error of
+/// `τ·ln_det(…)`. That moves it by at most `τ·ln(1 + 1e-15/|to|)`
+/// (about 1e-17 s where the gap is smallest), always less than the gap
+/// `τ·ln(1 + M/|to|)` because `M` ≫ 1e-15 V. So whenever this returns
+/// true, `rc_time_to` returns `None` or a time past the span.
+#[inline]
+pub fn rc_span_misses(v0: f64, v_inf: f64, v_target: f64, v_end: f64) -> bool {
+    let from = v0 - v_inf;
+    // `from.signum()` is ±1, so the product is exact: the distance
+    // `v_end` still has to travel before it reaches the target.
+    never_reaches(from, v_target - v_inf) || (v_end - v_target) * from.signum() >= RC_MISS_MARGIN
 }
 
 #[cfg(test)]
@@ -243,6 +307,50 @@ mod tests {
         // Discharge direction works symmetrically.
         let t = rc_time_to(2.4, 1.2, tau, 1.8).expect("discharges");
         assert!((rc_advance(2.4, 1.2, tau, t) - 1.8).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rc_advance_is_settle_of_decay_bit_for_bit() {
+        let tau = 1500.0 * 47e-6;
+        for &(v0, v_inf, dt) in &[(1.9, 3.2, 1e-6), (2.6, 0.2, 3e-3), (0.0, 6.4, 0.7)] {
+            let hoisted = rc_settle(v0, v_inf, rc_decay(tau, dt));
+            assert_eq!(rc_advance(v0, v_inf, tau, dt).to_bits(), hoisted.to_bits());
+        }
+    }
+
+    #[test]
+    fn span_misses_agrees_with_rc_time_to() {
+        let tau = 1500.0 * 47e-6;
+        let (v_inf, v_on) = (3.2, 2.4);
+        // Charging from 2.3 V: 1 µs ends far short of v_on.
+        let dt = 1e-6;
+        let v_end = rc_advance(2.3, v_inf, tau, dt);
+        assert!(rc_span_misses(2.3, v_inf, v_on, v_end));
+        assert!(rc_time_to(2.3, v_inf, tau, v_on).unwrap() > dt);
+        // A span that ends exactly at the crossing is not declared a miss.
+        let t = rc_time_to(2.3, v_inf, tau, v_on).unwrap();
+        assert!(!rc_span_misses(
+            2.3,
+            v_inf,
+            v_on,
+            rc_advance(2.3, v_inf, tau, t)
+        ));
+        // Starting within the margin of the threshold falls back too.
+        assert!(!rc_span_misses(v_on - 1e-12, v_inf, v_on, v_on - 1e-12));
+        // Unreachable targets are misses whatever the span: behind the
+        // start, past the asymptote, the asymptote itself.
+        assert!(rc_span_misses(2.5, v_inf, v_on, 3.1));
+        assert!(rc_span_misses(2.3, 2.2, v_on, 2.2));
+        assert!(rc_span_misses(2.3, v_on, v_on, 2.39));
+        // Discharge direction is symmetric.
+        let v_end = rc_advance(2.0, 0.2, tau, 1e-3);
+        assert!(rc_span_misses(2.0, 0.2, 1.8, v_end));
+        assert!(!rc_span_misses(
+            2.0,
+            0.2,
+            1.8,
+            rc_advance(2.0, 0.2, tau, 1.0)
+        ));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod supervisor;
 pub mod time;
 pub mod trace;
 
-pub use analytic::{exp_det, ln_det, rc_advance, rc_time_to};
+pub use analytic::{exp_det, ln_det, rc_advance, rc_decay, rc_settle, rc_span_misses, rc_time_to};
 pub use budget::{WISP5_CAPACITANCE, WISP5_V_OFF, WISP5_V_ON};
 pub use capacitor::Capacitor;
 pub use integrate::integrate_quantum;
