@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 /// A point-in-time snapshot of everything a frontend shows about a
 /// session. All fields are ground-truth simulation state (the snapshot
 /// is observational — taking it perturbs nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionStatus {
     /// Simulation time, nanoseconds.
     pub time_ns: u64,

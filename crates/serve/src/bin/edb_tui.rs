@@ -13,7 +13,7 @@
 //! and each resulting frame is printed to stdout — the headless mode CI
 //! exercises.
 
-use edb_serve::tui::TuiState;
+use edb_serve::tui::{field, TuiState};
 use edb_serve::{Client, Server, ServerConfig};
 use serde::Value;
 use std::io::{BufRead, Write};
@@ -164,7 +164,7 @@ fn create_session(client: &mut Client, state: &mut TuiState, opts: &Options) {
         });
     match &outcome.outcome {
         Ok(result) => {
-            state.session = edb_serve::rpc::param_u64(result, "session");
+            state.session = field(result, "session");
             state.note(format!(
                 "session {} created ({})",
                 state.session.unwrap_or(0),
@@ -209,22 +209,12 @@ fn absorb(state: &mut TuiState, notifications: &[Value]) {
 
 /// One-line digest of an `analyze` report for the event feed.
 fn summarize_analysis(report: &Value) -> String {
-    let get_u64 = |name: &str| match report.get_field(name) {
-        Some(Value::U64(n)) => Some(*n),
-        _ => None,
-    };
-    let blocks = get_u64("blocks").unwrap_or(0);
-    let unresolved = match report.get_field("unresolved") {
-        Some(Value::Seq(items)) => items.len(),
-        _ => 0,
-    };
-    match get_u64("wcec_cycles") {
+    let blocks = field(report, "blocks").unwrap_or(0u64);
+    let unresolved = field::<Vec<&Value>>(report, "unresolved").map_or(0, |items| items.len());
+    match field::<u64>(report, "wcec_cycles") {
         Some(cycles) => {
-            let completes = matches!(
-                report.get_field("completes_on_one_charge"),
-                Some(Value::Bool(true))
-            );
-            let charges = get_u64("charge_cycles").unwrap_or(0);
+            let completes = field(report, "completes_on_one_charge").unwrap_or(false);
+            let charges = field(report, "charge_cycles").unwrap_or(0u64);
             format!(
                 "analyze: WCEC {cycles} cycles, {} on one charge ({charges} charge cycle(s), \
                  {blocks} blocks, {unresolved} unresolved)",
@@ -236,10 +226,7 @@ fn summarize_analysis(report: &Value) -> String {
             )
         }
         None => {
-            let reason = report
-                .get_field("unbounded_reason")
-                .and_then(Value::as_str)
-                .unwrap_or("unknown");
+            let reason = field(report, "unbounded_reason").unwrap_or("unknown");
             format!("analyze: unbounded — {reason} ({blocks} blocks, {unresolved} unresolved)")
         }
     }

@@ -17,11 +17,10 @@
 //! at any worker-pool width.
 
 use crate::rpc::{
-    self, notification_line, obj, param_bool, param_f64, param_ms, param_str, param_u16, param_u64,
-    param_us, parse_request, RpcError, RpcRequest,
+    self, duration, notification_line, obj, param, parse_request, required, RpcError, RpcRequest,
 };
 use edb_core::fleet::{FleetConfig, FleetSim};
-use edb_core::replay::verify_fleet;
+use edb_core::replay::{verify_fleet, Recording};
 use edb_core::{
     ChannelFaultConfig, DebugRequest, DebugResponse, DebugSession, FleetOp, FleetSpec, FleetTape,
     HarvesterSpec, SessionSpec, WorldSpec,
@@ -29,27 +28,21 @@ use edb_core::{
 use edb_energy::SimTime;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Firmware presets a client can name in `create` instead of shipping
-/// assembly source. Each is a small instrumented application over the
-/// `libEDB` runtime.
-pub const FIRMWARE_PRESETS: &[&str] = &["assert", "spin", "guard"];
-
-/// Event tags excluded from an event subscription unless the client
-/// names tags explicitly: the passive `Vcap` stream fires at the sample
-/// rate and would drown an interactive feed.
-pub const DEFAULT_EVENT_EXCLUDE: &[&str] = &["energy"];
-
-fn preset_source(name: &str) -> Option<&'static str> {
-    // Every preset wires the energy-breakpoint ISR vector so
-    // `arm_energy_guard` is safe against any of them.
-    match name {
-        // Asserts ONCE at boot (so `wait_session_ms` catches an open
-        // session), then — after the host resumes it — counts in FRAM,
-        // pulsing watchpoint 2 every 256 iterations.
-        "assert" => Some(
-            r#"
+/// assembly source, as `(name, source)`. Each is a small instrumented
+/// application over the `libEDB` runtime, and every one wires the
+/// energy-breakpoint ISR vector so `arm_energy_guard` is safe against
+/// any of them.
+pub const FIRMWARE_PRESETS: &[(&str, &str)] = &[
+    // Asserts ONCE at boot (so `wait_session_ms` catches an open
+    // session), then — after the host resumes it — counts in FRAM,
+    // pulsing watchpoint 2 every 256 iterations.
+    (
+        "assert",
+        r#"
             .org 0x4400
         main:
             movi sp, 0x2400
@@ -73,9 +66,10 @@ fn preset_source(name: &str) -> Option<&'static str> {
             .org 0xFFFE
             .word main
             "#,
-        ),
-        "spin" => Some(
-            r#"
+    ),
+    (
+        "spin",
+        r#"
             .org 0x4400
         main:
             movi sp, 0x2400
@@ -90,9 +84,10 @@ fn preset_source(name: &str) -> Option<&'static str> {
             .org 0xFFFE
             .word main
             "#,
-        ),
-        "guard" => Some(
-            r#"
+    ),
+    (
+        "guard",
+        r#"
             .org 0x4400
         main:
             movi sp, 0x2400
@@ -117,10 +112,13 @@ fn preset_source(name: &str) -> Option<&'static str> {
             .org 0xFFFE
             .word main
             "#,
-        ),
-        _ => None,
-    }
-}
+    ),
+];
+
+/// Event tags excluded from an event subscription unless the client
+/// names tags explicitly: the passive `Vcap` stream fires at the sample
+/// rate and would drown an interactive feed.
+pub const DEFAULT_EVENT_EXCLUDE: &[&str] = &["energy"];
 
 /// One event-stream subscription: which tags pass the filter and how
 /// far into the session's log this connection has streamed.
@@ -158,6 +156,14 @@ impl ConnState {
     pub fn attached(&self) -> Option<u64> {
         self.attached
     }
+
+    /// The `session` param, defaulting to the attached session.
+    fn session_param(&self, p: &Value) -> Result<u64, RpcError> {
+        match self.attached {
+            Some(sid) => Ok(param(p, "session")?.unwrap_or(sid)),
+            None => required(p, "session"),
+        }
+    }
 }
 
 /// The outcome of dispatching one request line.
@@ -170,11 +176,35 @@ pub struct Dispatch {
     pub shutdown: bool,
 }
 
-struct HubInner {
+/// Hosted objects of one kind under monotonically assigned IDs (from
+/// 1), each behind its own lock.
+struct Registry<T> {
     next_id: u64,
-    sessions: BTreeMap<u64, Arc<Mutex<DebugSession>>>,
-    next_fleet_id: u64,
-    fleets: BTreeMap<u64, Arc<Mutex<FleetEntry>>>,
+    entries: BTreeMap<u64, Arc<Mutex<T>>>,
+}
+
+impl<T> Default for Registry<T> {
+    fn default() -> Self {
+        Registry {
+            next_id: 1,
+            entries: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Registry<T> {
+    fn insert(&mut self, value: T) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.entries.insert(id, Arc::new(Mutex::new(value)));
+        id
+    }
+}
+
+#[derive(Default)]
+struct HubInner {
+    sessions: Registry<DebugSession>,
+    fleets: Registry<FleetEntry>,
 }
 
 /// One hosted fleet: the simulation plus its replay tape. Everything
@@ -187,143 +217,167 @@ struct FleetEntry {
 
 /// The shared registry of hosted sessions and the JSON-RPC method table
 /// over them.
+#[derive(Default)]
 pub struct SessionHub {
     inner: Mutex<HubInner>,
 }
 
 impl std::fmt::Debug for SessionHub {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().expect("hub lock");
         f.debug_struct("SessionHub")
-            .field("sessions", &inner.sessions.len())
+            .field("sessions", &self.session_count())
             .finish_non_exhaustive()
-    }
-}
-
-impl Default for SessionHub {
-    fn default() -> Self {
-        SessionHub::new()
     }
 }
 
 type MethodResult = Result<Value, RpcError>;
 
-/// Parses recording container bytes into a typed error on failure.
-fn edb_replay_recording(bytes: &[u8]) -> Result<edb_core::replay::Recording, RpcError> {
-    edb_core::replay::Recording::from_bytes(bytes)
-        .map_err(|e| RpcError::protocol(rpc::INVALID_REQUEST, format!("bad recording: {e}")))
-}
-
 impl SessionHub {
     /// An empty hub. Session IDs start at 1.
     pub fn new() -> Self {
-        SessionHub {
-            inner: Mutex::new(HubInner {
-                next_id: 1,
-                sessions: BTreeMap::new(),
-                next_fleet_id: 1,
-                fleets: BTreeMap::new(),
-            }),
-        }
+        SessionHub::default()
     }
 
     /// Number of live sessions.
     pub fn session_count(&self) -> usize {
-        self.inner.lock().expect("hub lock").sessions.len()
+        self.hub().sessions.entries.len()
     }
 
-    fn session(&self, id: u64) -> Option<Arc<Mutex<DebugSession>>> {
-        self.inner
-            .lock()
-            .expect("hub lock")
-            .sessions
-            .get(&id)
-            .cloned()
+    /// The registry. Its critical sections only insert, look up and
+    /// remove map entries, which cannot panic halfway, so a poisoned
+    /// registry lock is still consistent and is entered as usual.
+    fn hub(&self) -> MutexGuard<'_, HubInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn fleet(&self, id: u64) -> Result<Arc<Mutex<FleetEntry>>, RpcError> {
-        self.inner
-            .lock()
-            .expect("hub lock")
-            .fleets
-            .get(&id)
-            .cloned()
-            .ok_or_else(|| RpcError::protocol(rpc::INVALID_REQUEST, format!("fleet {id} is gone")))
+    /// Runs `f` on entry `id` of a registry under the entry's own lock:
+    /// the one place a session or a fleet is locked. An entry whose lock
+    /// a panicking request poisoned is removed from the hub and answers
+    /// `INTERNAL_ERROR`, so no request can hurt another session.
+    fn with_entry<T, R>(
+        &self,
+        kind: &str,
+        registry: fn(&mut HubInner) -> &mut Registry<T>,
+        id: u64,
+        f: impl FnOnce(&mut T) -> Result<R, RpcError>,
+    ) -> Result<R, RpcError> {
+        let gone = || RpcError::invalid_request(format!("{kind} {id} is gone"));
+        let entry = registry(&mut self.hub()).entries.get(&id).cloned();
+        let entry = entry.ok_or_else(gone)?;
+        let mut guard = entry.lock().map_err(|_| {
+            registry(&mut self.hub()).entries.remove(&id);
+            RpcError::internal(format!("{kind} {id} was removed after a panic"))
+        })?;
+        f(&mut guard)
+    }
+
+    /// Runs `f` on session `sid` (`None`: the connection is attached to
+    /// nothing) under its lock.
+    fn with_session<R>(
+        &self,
+        sid: Option<u64>,
+        f: impl FnOnce(&mut DebugSession) -> Result<R, RpcError>,
+    ) -> Result<R, RpcError> {
+        let sid = sid.ok_or_else(|| RpcError::invalid_request("not attached to a session"))?;
+        self.with_entry("session", |hub| &mut hub.sessions, sid, f)
+    }
+
+    /// Runs `f` on the fleet the `fleet` param names, under its lock.
+    fn with_fleet(
+        &self,
+        p: &Value,
+        f: impl FnOnce(u64, &mut FleetEntry) -> MethodResult,
+    ) -> MethodResult {
+        let fid = required(p, "fleet")?;
+        self.with_entry("fleet", |hub| &mut hub.fleets, fid, |entry| f(fid, entry))
+    }
+
+    /// `sid`, if the hub hosts that session.
+    fn existing(&self, sid: u64) -> Result<u64, RpcError> {
+        let hosted = self.hub().sessions.entries.contains_key(&sid);
+        hosted
+            .then_some(sid)
+            .ok_or_else(|| RpcError::invalid_params(format!("no session {sid}")))
+    }
+
+    /// Test hook, unreachable over the wire: poisons session `sid`'s
+    /// lock the way a request that panics inside the session does.
+    #[doc(hidden)]
+    pub fn poison_session(&self, sid: u64) {
+        let poison = || self.with_session(Some(sid), |_| -> MethodResult { panic!("test hook") });
+        let _ = catch_unwind(AssertUnwindSafe(poison));
     }
 
     /// Parses and executes one request line for one connection,
     /// returning the wire lines to send back (notifications first, then
     /// the response).
     pub fn dispatch(&self, conn: &mut ConnState, line: &str) -> Dispatch {
-        let request = match parse_request(line) {
-            Ok(request) => request,
-            Err((id, error)) => {
-                return Dispatch {
-                    lines: vec![rpc::error_line(id, &error)],
-                    shutdown: false,
+        let mut shutdown = false;
+        let lines = match parse_request(line) {
+            Err((id, error)) => vec![rpc::error_line(id, &error)],
+            Ok(request) => {
+                // A panicking method answers a typed error; the session
+                // whose lock it poisoned is quarantined when next used.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    self.execute(conn, &request, &mut shutdown)
+                }))
+                .unwrap_or_else(|panic| {
+                    let what = (panic.downcast_ref::<String>().map(String::as_str))
+                        .or_else(|| panic.downcast_ref::<&str>().copied());
+                    let what = what.unwrap_or("no message");
+                    Err(RpcError::internal(format!("the request panicked: {what}")))
+                });
+                // Stream any events the request produced (or that other
+                // connections produced since we last looked) before the
+                // response, so a client reads causes before effects.
+                let mut lines = self.drain_notifications(conn);
+                if let Some(id) = request.id {
+                    lines.push(match result {
+                        Ok(value) => rpc::response_line(id, value),
+                        Err(error) => rpc::error_line(Some(id), &error),
+                    });
                 }
+                lines
             }
         };
-        let mut shutdown = false;
-        let result = self.execute(conn, &request, &mut shutdown);
-        // Stream any events the request produced (or that other
-        // connections produced since we last looked) before the
-        // response, so a client reads causes before effects.
-        let mut lines = self.drain_notifications(conn);
-        if let Some(id) = request.id {
-            lines.push(match result {
-                Ok(value) => rpc::response_line(id, value),
-                Err(error) => rpc::error_line(Some(id), &error),
-            });
-        }
         Dispatch { lines, shutdown }
     }
 
     /// Collects pending event notifications for every subscription this
-    /// connection holds, advancing its cursors.
+    /// connection holds, advancing its cursors. A subscription whose
+    /// session is gone ends.
     fn drain_notifications(&self, conn: &mut ConnState) -> Vec<String> {
         let mut lines = Vec::new();
-        let mut dead = Vec::new();
-        for (&sid, sub) in conn.subs.iter_mut() {
-            let Some(session) = self.session(sid) else {
-                dead.push(sid);
-                continue;
-            };
-            let session = session.lock().expect("session lock");
-            let events = session.events();
-            for (k, logged) in events.iter().enumerate().skip(sub.cursor) {
-                let tag = logged.event.tag();
-                if !sub.wants(tag) {
-                    continue;
+        conn.subs.retain(|&sid, sub| {
+            self.with_session(Some(sid), |session| {
+                let events = session.events();
+                for (k, logged) in events.iter().enumerate().skip(sub.cursor) {
+                    let tag = logged.event.tag();
+                    if !sub.wants(tag) {
+                        continue;
+                    }
+                    lines.push(notification_line(
+                        "event",
+                        obj(vec![
+                            ("session", Value::U64(sid)),
+                            ("seq", Value::U64(k as u64)),
+                            ("time_ns", Value::U64(logged.at.as_ns())),
+                            ("tag", Value::Str(tag.to_string())),
+                            ("label", Value::Str(logged.event.label())),
+                        ]),
+                    ));
                 }
-                lines.push(notification_line(
-                    "event",
-                    obj(vec![
-                        ("session", Value::U64(sid)),
-                        ("seq", Value::U64(k as u64)),
-                        ("time_ns", Value::U64(logged.at.as_ns())),
-                        ("tag", Value::Str(tag.to_string())),
-                        ("label", Value::Str(logged.event.label())),
-                    ]),
-                ));
-            }
-            sub.cursor = events.len();
-        }
-        for sid in dead {
-            conn.subs.remove(&sid);
-        }
+                sub.cursor = events.len();
+                Ok(())
+            })
+            .is_ok()
+        });
         lines
     }
 
-    fn attached_session(&self, conn: &ConnState) -> Result<Arc<Mutex<DebugSession>>, RpcError> {
-        let sid = conn
-            .attached
-            .ok_or_else(|| RpcError::protocol(rpc::INVALID_REQUEST, "not attached to a session"))?;
-        self.session(sid).ok_or_else(|| {
-            RpcError::protocol(rpc::INVALID_REQUEST, format!("session {sid} is gone"))
-        })
-    }
-
+    /// The method table: each arm reads its params first, then runs
+    /// under [`with_session`](Self::with_session) or
+    /// [`with_fleet`](Self::with_fleet).
     fn execute(
         &self,
         conn: &mut ConnState,
@@ -331,520 +385,303 @@ impl SessionHub {
         shutdown: &mut bool,
     ) -> MethodResult {
         let p = &request.params;
+        let attached = conn.attached;
         match request.method.as_str() {
-            "server_info" => Ok(obj(vec![
-                ("name", Value::Str("edb-serve".to_string())),
-                ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
-                ("jsonrpc", Value::Str(rpc::VERSION.to_string())),
-                ("sessions", Value::U64(self.session_count() as u64)),
+            "server_info" => Ok(fields(&[
+                ("name", &"edb-serve"),
+                ("version", &env!("CARGO_PKG_VERSION")),
+                ("jsonrpc", &rpc::VERSION),
+                ("sessions", &self.session_count()),
             ])),
             "create" => self.create(conn, p),
             "attach" => {
-                let sid = param_u64(p, "session")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `session`"))?;
-                if self.session(sid).is_none() {
-                    return Err(RpcError::protocol(
-                        rpc::INVALID_PARAMS,
-                        format!("no session {sid}"),
-                    ));
-                }
+                let sid = self.existing(required(p, "session")?)?;
                 conn.attached = Some(sid);
-                Ok(obj(vec![("session", Value::U64(sid))]))
+                Ok(fields(&[("session", &sid)]))
             }
             "destroy" => {
-                let sid = param_u64(p, "session")
-                    .or(conn.attached)
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `session`"))?;
-                let removed = self
-                    .inner
-                    .lock()
-                    .expect("hub lock")
-                    .sessions
-                    .remove(&sid)
-                    .is_some();
+                let sid = conn.session_param(p)?;
+                let removed = self.hub().sessions.entries.remove(&sid).is_some();
                 if conn.attached == Some(sid) {
                     conn.attached = None;
                 }
                 conn.subs.remove(&sid);
-                Ok(obj(vec![
-                    ("session", Value::U64(sid)),
-                    ("destroyed", Value::Bool(removed)),
-                ]))
+                Ok(fields(&[("session", &sid), ("destroyed", &removed)]))
             }
             "sessions" => {
-                let ids: Vec<Value> = self
-                    .inner
-                    .lock()
-                    .expect("hub lock")
-                    .sessions
-                    .keys()
-                    .map(|&id| Value::U64(id))
-                    .collect();
-                Ok(obj(vec![("sessions", Value::Seq(ids))]))
+                let ids: Vec<u64> = self.hub().sessions.entries.keys().copied().collect();
+                Ok(fields(&[("sessions", &ids)]))
             }
             "subscribe_events" => {
-                let sid = param_u64(p, "session")
-                    .or(conn.attached)
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `session`"))?;
-                if self.session(sid).is_none() {
-                    return Err(RpcError::protocol(
-                        rpc::INVALID_PARAMS,
-                        format!("no session {sid}"),
-                    ));
-                }
-                let tags = match p.get_field("tags") {
-                    Some(Value::Seq(items)) => {
-                        let mut tags = Vec::new();
-                        for item in items {
-                            match item.as_str() {
-                                Some(tag) => tags.push(tag.to_string()),
-                                None => {
-                                    return Err(RpcError::protocol(
-                                        rpc::INVALID_PARAMS,
-                                        "`tags` must be an array of strings",
-                                    ))
-                                }
-                            }
-                        }
-                        Some(tags)
-                    }
-                    _ => None,
-                };
+                let sid = self.existing(conn.session_param(p)?)?;
+                let tags: Option<Vec<String>> = param(p, "tags")?;
                 // `from_start` replays the whole log; the default
                 // streams only what happens from now on.
-                let cursor = if param_bool(p, "from_start").unwrap_or(false) {
+                let cursor = if param(p, "from_start")?.unwrap_or(false) {
                     0
                 } else {
-                    let session = self.session(sid).expect("checked above");
-                    let n = session.lock().expect("session lock").events().len();
-                    n
+                    self.with_session(Some(sid), |s| Ok(s.events().len()))?
                 };
-                let echo = match &tags {
-                    Some(tags) => Value::Seq(tags.iter().map(|t| Value::Str(t.clone())).collect()),
-                    None => Value::Null,
-                };
+                let result = fields(&[("session", &sid), ("tags", &tags)]);
                 conn.subs.insert(sid, SubState { tags, cursor });
-                Ok(obj(vec![("session", Value::U64(sid)), ("tags", echo)]))
+                Ok(result)
             }
-            "run_until" => {
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                let timeout = param_ms(p, "ms", session.now())?
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `ms`"))?;
-                let opened = session.run_until_session(timeout);
-                let mut status = session.status().to_value();
-                push_field(&mut status, "session_opened", Value::Bool(opened));
-                Ok(status)
-            }
+            "run_until" => self.with_session(attached, |s| {
+                let timeout = duration(p, "ms", s.now())?.ok_or_else(|| RpcError::missing("ms"))?;
+                let opened = s.run_until_session(timeout);
+                Ok(status_with(s, "session_opened", opened))
+            }),
             "step" => {
-                let count = param_u64(p, "count").unwrap_or(1);
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                for _ in 0..count {
-                    session.step();
-                }
-                Ok(session.status().to_value())
+                let count = param(p, "count")?.unwrap_or(1u64);
+                self.with_session(attached, |s| {
+                    for _ in 0..count {
+                        s.step();
+                    }
+                    Ok(s.status().to_value())
+                })
             }
             "read" => {
-                let addr = required_u16(p, "addr")?;
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                match session.perform(DebugRequest::ReadWord { addr })? {
-                    DebugResponse::Word { value } => Ok(obj(vec![
-                        ("addr", Value::U64(u64::from(addr))),
-                        ("value", Value::U64(u64::from(value))),
-                    ])),
-                    other => Err(RpcError::protocol(
-                        rpc::INVALID_REQUEST,
-                        format!("engine returned {other:?} for a read"),
-                    )),
-                }
+                let addr: u16 = required(p, "addr")?;
+                self.with_session(attached, |s| {
+                    match s.perform(DebugRequest::ReadWord { addr })? {
+                        DebugResponse::Word { value } => {
+                            Ok(fields(&[("addr", &addr), ("value", &value)]))
+                        }
+                        other => Err(unexpected(other, "read")),
+                    }
+                })
             }
             "write" => {
-                let addr = required_u16(p, "addr")?;
-                let value = required_u16(p, "value")?;
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                session.perform(DebugRequest::WriteWord { addr, value })?;
-                Ok(obj(vec![
-                    ("addr", Value::U64(u64::from(addr))),
-                    ("value", Value::U64(u64::from(value))),
-                    ("ack", Value::Bool(true)),
-                ]))
+                let addr: u16 = required(p, "addr")?;
+                let value: u16 = required(p, "value")?;
+                self.with_session(attached, |s| {
+                    s.perform(DebugRequest::WriteWord { addr, value })?;
+                    Ok(fields(&[
+                        ("addr", &addr),
+                        ("value", &value),
+                        ("ack", &true),
+                    ]))
+                })
             }
-            "get_pc" => {
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                match session.perform(DebugRequest::GetPc)? {
-                    DebugResponse::Pc { pc } => Ok(obj(vec![("pc", Value::U64(u64::from(pc)))])),
-                    other => Err(RpcError::protocol(
-                        rpc::INVALID_REQUEST,
-                        format!("engine returned {other:?} for get_pc"),
-                    )),
-                }
-            }
+            "get_pc" => self.with_session(attached, |s| match s.perform(DebugRequest::GetPc)? {
+                DebugResponse::Pc { pc } => Ok(fields(&[("pc", &pc)])),
+                other => Err(unexpected(other, "get_pc")),
+            }),
             "set_breakpoint" => {
-                let id = param_u64(p, "id")
-                    .filter(|&id| id <= u64::from(u8::MAX))
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "`id` must be a byte"))?
-                    as u8;
-                let energy = param_f64(p, "energy");
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                session.set_breakpoint(id, energy)?;
-                Ok(obj(vec![
-                    ("id", Value::U64(u64::from(id))),
-                    ("energy", energy.map_or(Value::Null, Value::F64)),
-                ]))
+                let id: u8 = required(p, "id")?;
+                let energy: Option<f64> = param(p, "energy")?;
+                self.with_session(attached, |s| {
+                    s.set_breakpoint(id, energy)?;
+                    Ok(fields(&[("id", &id), ("energy", &energy)]))
+                })
             }
             "clear_breakpoint" => {
-                let id = param_u64(p, "id")
-                    .filter(|&id| id <= u64::from(u8::MAX))
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "`id` must be a byte"))?
-                    as u8;
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                session.clear_breakpoint(id)?;
-                Ok(obj(vec![("id", Value::U64(u64::from(id)))]))
+                let id: u8 = required(p, "id")?;
+                self.with_session(attached, |s| {
+                    s.clear_breakpoint(id)?;
+                    Ok(fields(&[("id", &id)]))
+                })
             }
-            "breakpoints" => {
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
-                let list: Vec<Value> = session
-                    .breakpoints()
-                    .into_iter()
-                    .map(|(id, energy)| {
-                        obj(vec![
-                            ("id", Value::U64(u64::from(id))),
-                            ("energy", energy.map_or(Value::Null, Value::F64)),
-                        ])
-                    })
-                    .collect();
-                Ok(obj(vec![("breakpoints", Value::Seq(list))]))
-            }
+            "breakpoints" => self.with_session(attached, |s| {
+                let list = s.breakpoints().into_iter();
+                let list = list.map(|(id, energy)| fields(&[("id", &id), ("energy", &energy)]));
+                Ok(fields(&[("breakpoints", &list.collect::<Vec<_>>())]))
+            }),
             "arm_energy_guard" => {
-                let threshold = param_f64(p, "threshold").ok_or_else(|| {
-                    RpcError::protocol(rpc::INVALID_PARAMS, "missing `threshold`")
-                })?;
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                session.arm_energy_guard(threshold)?;
-                Ok(obj(vec![("threshold", Value::F64(threshold))]))
+                let threshold: f64 = required(p, "threshold")?;
+                self.with_session(attached, |s| {
+                    s.arm_energy_guard(threshold)?;
+                    Ok(fields(&[("threshold", &threshold)]))
+                })
             }
-            "charge" | "discharge" => {
-                let to = param_f64(p, "to")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `to`"))?;
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                let v_cap = if request.method == "charge" {
-                    session.charge_to(to)?
-                } else {
-                    session.discharge_to(to)?
-                };
-                Ok(obj(vec![
-                    ("target", Value::F64(to)),
-                    ("v_cap", Value::F64(v_cap)),
-                ]))
+            method @ ("charge" | "discharge") => {
+                let to: f64 = required(p, "to")?;
+                self.with_session(attached, |s| {
+                    let v_cap = if method == "charge" {
+                        s.charge_to(to)?
+                    } else {
+                        s.discharge_to(to)?
+                    };
+                    Ok(fields(&[("target", &to), ("v_cap", &v_cap)]))
+                })
             }
-            "resume" => {
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                session.resume()?;
-                Ok(session.status().to_value())
-            }
+            "resume" => self.with_session(attached, |s| {
+                s.resume()?;
+                Ok(s.status().to_value())
+            }),
             "step_back" => {
-                let n = param_u64(p, "n").unwrap_or(1);
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                let landed = session.step_back(n)?;
-                let mut status = session.status().to_value();
-                push_field(&mut status, "landed_ns", Value::U64(landed.as_ns()));
-                Ok(status)
+                let n = param(p, "n")?.unwrap_or(1);
+                self.with_session(attached, |s| {
+                    let landed = s.step_back(n)?;
+                    Ok(status_with(s, "landed_ns", landed.as_ns()))
+                })
             }
             "goto_time" => {
-                let target = match param_u64(p, "ns") {
+                let target = match param(p, "ns")? {
                     Some(ns) => SimTime::from_ns(ns),
-                    None => param_ms(p, "ms", SimTime::ZERO)?.ok_or_else(|| {
-                        RpcError::protocol(
-                            rpc::INVALID_PARAMS,
-                            "need `ns` or `ms` (absolute sim time)",
-                        )
+                    None => duration(p, "ms", SimTime::ZERO)?.ok_or_else(|| {
+                        RpcError::invalid_params("need `ns` or `ms` (absolute sim time)")
                     })?,
                 };
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                let landed = session.goto_time(target)?;
-                let mut status = session.status().to_value();
-                push_field(&mut status, "landed_ns", Value::U64(landed.as_ns()));
-                Ok(status)
+                self.with_session(attached, |s| {
+                    let landed = s.goto_time(target)?;
+                    Ok(status_with(s, "landed_ns", landed.as_ns()))
+                })
             }
-            "reverse_continue" => {
-                let session = self.attached_session(conn)?;
-                let mut session = session.lock().expect("session lock");
-                let stopped = session.reverse_continue()?;
-                let mut status = session.status().to_value();
-                push_field(
-                    &mut status,
-                    "stopped_at_ns",
-                    stopped.map_or(Value::Null, |t| Value::U64(t.as_ns())),
-                );
-                Ok(status)
-            }
+            "reverse_continue" => self.with_session(attached, |s| {
+                let stopped = s.reverse_continue()?.map(SimTime::as_ns);
+                Ok(status_with(s, "stopped_at_ns", stopped))
+            }),
             "record_export" => {
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
-                let recording = session.export_recording().ok_or_else(|| {
-                    RpcError::protocol(rpc::INVALID_REQUEST, "session is not recording")
-                })?;
-                let bytes = recording.to_bytes();
-                if let Some(path) = param_str(p, "path") {
-                    std::fs::write(path, &bytes).map_err(|e| {
-                        RpcError::protocol(
-                            rpc::INVALID_REQUEST,
-                            format!("cannot write `{path}`: {e}"),
-                        )
-                    })?;
-                }
-                Ok(obj(vec![
-                    ("ops", Value::U64(recording.op_count() as u64)),
-                    ("snapshots", Value::U64(recording.snapshot_count() as u64)),
-                    ("bytes", Value::U64(bytes.len() as u64)),
-                ]))
+                let path = param(p, "path")?;
+                self.with_session(attached, |s| {
+                    let recording = s
+                        .export_recording()
+                        .ok_or_else(|| RpcError::invalid_request("session is not recording"))?;
+                    Ok(fields(&[
+                        ("ops", &recording.op_count()),
+                        ("snapshots", &recording.snapshot_count()),
+                        ("bytes", &save(path, &recording.to_bytes())?),
+                    ]))
+                })
             }
-            "status" => {
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
-                Ok(session.status().to_value())
-            }
+            "status" => self.with_session(attached, |s| Ok(s.status().to_value())),
             "disasm" => {
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
-                let addr = param_u16(p, "addr")
-                    .ok()
-                    .flatten()
-                    .unwrap_or(session.status().pc);
-                let count = param_u64(p, "count").unwrap_or(8) as usize;
-                let lines: Vec<Value> = session
-                    .disasm(addr, count.min(64))
-                    .into_iter()
-                    .map(|(at, text)| {
-                        obj(vec![
-                            ("addr", Value::U64(u64::from(at))),
-                            ("text", Value::Str(text)),
-                        ])
-                    })
-                    .collect();
-                Ok(obj(vec![
-                    ("addr", Value::U64(u64::from(addr))),
-                    ("lines", Value::Seq(lines)),
-                ]))
+                let addr: Option<u16> = param(p, "addr")?;
+                let count = param(p, "count")?.unwrap_or(8u64).min(64) as usize;
+                self.with_session(attached, |s| {
+                    let addr = addr.unwrap_or(s.status().pc);
+                    let lines = s.disasm(addr, count).into_iter();
+                    let lines = lines.map(|(at, text)| fields(&[("addr", &at), ("text", &text)]));
+                    Ok(fields(&[
+                        ("addr", &addr),
+                        ("lines", &lines.collect::<Vec<_>>()),
+                    ]))
+                })
             }
             "analyze" => {
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
                 // Entry: explicit address, a symbol name, or (default)
                 // wherever the PC currently sits.
-                let entry = match (param_u16(p, "entry")?, param_str(p, "name")) {
-                    (Some(addr), _) => Some(addr),
-                    (None, Some(name)) => Some(session.symbol(name).ok_or_else(|| {
-                        RpcError::protocol(rpc::INVALID_PARAMS, format!("unknown symbol `{name}`"))
-                    })?),
-                    (None, None) => None,
-                };
-                let v_start = param_f64(p, "v");
-                Ok(session.analyze(entry, v_start).to_value())
+                let entry: Option<u16> = param(p, "entry")?;
+                let name: Option<&str> = param(p, "name")?;
+                let v_start = param(p, "v")?;
+                self.with_session(attached, |s| {
+                    let entry = match (entry, name) {
+                        (None, Some(name)) => Some(s.symbol(name).ok_or_else(|| {
+                            RpcError::invalid_params(format!("unknown symbol `{name}`"))
+                        })?),
+                        _ => entry,
+                    };
+                    Ok(s.analyze(entry, v_start).to_value())
+                })
             }
             "symbol" => {
-                let name = param_str(p, "name")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `name`"))?;
-                let session = self.attached_session(conn)?;
-                let session = session.lock().expect("session lock");
-                Ok(obj(vec![
-                    ("name", Value::Str(name.to_string())),
-                    (
-                        "addr",
-                        session
-                            .symbol(name)
-                            .map_or(Value::Null, |a| Value::U64(u64::from(a))),
-                    ),
-                ]))
+                let name: &str = required(p, "name")?;
+                self.with_session(attached, |s| {
+                    Ok(fields(&[("name", &name), ("addr", &s.symbol(name))]))
+                })
             }
             "fleet_create" => {
-                let tags = param_u64(p, "tags")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `tags`"))?
-                    as usize;
-                if tags == 0 || tags > 100_000 {
-                    return Err(RpcError::protocol(
-                        rpc::INVALID_PARAMS,
-                        "`tags` must be in 1..=100000",
-                    ));
+                let tags: u64 = required(p, "tags")?;
+                if !(1..=100_000).contains(&tags) {
+                    return Err(RpcError::invalid_params("`tags` must be in 1..=100000"));
                 }
-                let seed = param_u64(p, "seed").unwrap_or(1);
-                let mut config = FleetConfig::standard(tags);
-                if let Some(t) = param_ms(p, "duration_ms", SimTime::ZERO)? {
-                    config.duration = t;
-                }
-                if let Some(d) = param_f64(p, "d_min") {
-                    config.d_min = d;
-                }
-                if let Some(d) = param_f64(p, "d_max") {
-                    config.d_max = d;
-                }
-                if let Some(b) = param_f64(p, "ber") {
-                    config.ber_ref = b;
-                }
+                let seed: u64 = param(p, "seed")?.unwrap_or(1);
+                let mut config = FleetConfig::standard(tags as usize);
+                config.duration =
+                    duration(p, "duration_ms", SimTime::ZERO)?.unwrap_or(config.duration);
+                config.d_min = param(p, "d_min")?.unwrap_or(config.d_min);
+                config.d_max = param(p, "d_max")?.unwrap_or(config.d_max);
+                config.ber_ref = param(p, "ber")?.unwrap_or(config.ber_ref);
                 if config.d_min <= 0.0 || config.d_max < config.d_min {
-                    return Err(RpcError::protocol(
-                        rpc::INVALID_PARAMS,
-                        "need 0 < d_min <= d_max",
-                    ));
+                    return Err(RpcError::invalid_params("need 0 < d_min <= d_max"));
                 }
                 let spec = FleetSpec { config, seed };
                 let sim = spec.build();
                 let tape = FleetTape::new(spec, &sim);
-                let fid = {
-                    let mut inner = self.inner.lock().expect("hub lock");
-                    let fid = inner.next_fleet_id;
-                    inner.next_fleet_id += 1;
-                    inner
-                        .fleets
-                        .insert(fid, Arc::new(Mutex::new(FleetEntry { sim, tape })));
-                    fid
-                };
-                Ok(obj(vec![
-                    ("fleet", Value::U64(fid)),
-                    ("tags", Value::U64(tags as u64)),
-                    ("seed", Value::U64(seed)),
-                ]))
+                let fid = self.hub().fleets.insert(FleetEntry { sim, tape });
+                Ok(fields(&[("fleet", &fid), ("tags", &tags), ("seed", &seed)]))
             }
             "fleet_run" => {
-                let fid = param_u64(p, "fleet")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `fleet`"))?;
-                let entry = self.fleet(fid)?;
-                let mut entry = entry.lock().expect("fleet lock");
-                let op = match (param_ms(p, "ms", entry.sim.now())?, param_u64(p, "slots")) {
-                    (Some(t), _) => FleetOp::RunMs(t.as_ns() / 1_000_000),
-                    (None, Some(slots)) => FleetOp::RunSlots(slots),
-                    (None, None) => {
-                        return Err(RpcError::protocol(
-                            rpc::INVALID_PARAMS,
-                            "need `ms` (carrier time) or `slots` (slot count)",
-                        ))
-                    }
-                };
-                // The tape both records the op and advances the sim, so
-                // live runs and replays share one advance path.
-                let FleetEntry { sim, tape } = &mut *entry;
-                tape.run(sim, op);
-                let stats = entry.sim.stats();
-                Ok(obj(vec![
-                    ("fleet", Value::U64(fid)),
-                    ("sim_ms", Value::F64(entry.sim.now().as_millis_f64())),
-                    ("rounds", Value::U64(stats.gen2.rounds)),
-                    ("epcs", Value::U64(stats.gen2.epcs_read)),
-                ]))
+                let slots = param(p, "slots")?;
+                self.with_fleet(p, |fid, FleetEntry { sim, tape }| {
+                    let op = match (duration(p, "ms", sim.now())?, slots) {
+                        (Some(t), _) => FleetOp::RunMs(t.as_ns() / 1_000_000),
+                        (None, Some(slots)) => FleetOp::RunSlots(slots),
+                        (None, None) => {
+                            return Err(RpcError::invalid_params(
+                                "need `ms` (carrier time) or `slots` (slot count)",
+                            ))
+                        }
+                    };
+                    // The tape both records the op and advances the sim,
+                    // so live runs and replays share one advance path.
+                    tape.run(sim, op);
+                    let gen2 = sim.stats().gen2;
+                    Ok(fields(&[
+                        ("fleet", &fid),
+                        ("sim_ms", &sim.now().as_millis_f64()),
+                        ("rounds", &gen2.rounds),
+                        ("epcs", &gen2.epcs_read),
+                    ]))
+                })
             }
             "fleet_export" => {
-                let fid = param_u64(p, "fleet")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `fleet`"))?;
-                let entry = self.fleet(fid)?;
-                let entry = entry.lock().expect("fleet lock");
-                let recording = entry.tape.export(&entry.sim);
-                let bytes = recording.to_bytes();
-                if let Some(path) = param_str(p, "path") {
-                    std::fs::write(path, &bytes).map_err(|e| {
-                        RpcError::protocol(
-                            rpc::INVALID_REQUEST,
-                            format!("cannot write `{path}`: {e}"),
-                        )
-                    })?;
-                }
-                Ok(obj(vec![
-                    ("fleet", Value::U64(fid)),
-                    ("ops", Value::U64(entry.tape.op_count() as u64)),
-                    ("bytes", Value::U64(bytes.len() as u64)),
-                ]))
+                let path = param(p, "path")?;
+                self.with_fleet(p, |fid, FleetEntry { sim, tape }| {
+                    Ok(fields(&[
+                        ("fleet", &fid),
+                        ("ops", &tape.op_count()),
+                        ("bytes", &save(path, &tape.export(sim).to_bytes())?),
+                    ]))
+                })
             }
             "fleet_verify" => {
-                let path = param_str(p, "path")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `path`"))?;
-                let bytes = std::fs::read(path).map_err(|e| {
-                    RpcError::protocol(rpc::INVALID_REQUEST, format!("cannot read `{path}`: {e}"))
-                })?;
-                let recording = edb_replay_recording(&bytes)?;
-                let ops = verify_fleet(&recording).map_err(|e| {
-                    RpcError::protocol(rpc::INVALID_REQUEST, format!("replay diverged: {e}"))
-                })?;
-                Ok(obj(vec![
-                    ("ok", Value::Bool(true)),
-                    ("ops", Value::U64(ops as u64)),
-                ]))
+                let path: &str = required(p, "path")?;
+                let bytes = std::fs::read(path)
+                    .map_err(|e| RpcError::invalid_request(format!("cannot read `{path}`: {e}")))?;
+                let recording = Recording::from_bytes(&bytes)
+                    .map_err(|e| RpcError::invalid_request(format!("bad recording: {e}")))?;
+                let ops = verify_fleet(&recording)
+                    .map_err(|e| RpcError::invalid_request(format!("replay diverged: {e}")))?;
+                Ok(fields(&[("ok", &true), ("ops", &ops)]))
             }
             "fleet_status" => {
-                let fid = param_u64(p, "fleet")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `fleet`"))?;
-                let entry = self.fleet(fid)?;
-                let entry = entry.lock().expect("fleet lock");
-                let sim = &entry.sim;
-                let stats = sim.stats();
-                let mut status = obj(vec![
-                    ("fleet", Value::U64(fid)),
-                    ("tags", Value::U64(stats.tags)),
-                    ("sim_ms", Value::F64(sim.now().as_millis_f64())),
-                    ("q", Value::U64(u64::from(sim.reader().q()))),
-                    ("rounds", Value::U64(stats.gen2.rounds)),
-                    ("slots", Value::U64(stats.gen2.slots())),
-                    ("epcs", Value::U64(stats.gen2.epcs_read)),
-                    ("collisions", Value::U64(stats.gen2.collision_slots)),
-                    ("unique_tags_read", Value::U64(stats.unique_tags_read)),
-                    ("powered", Value::U64(stats.powered_at_end)),
-                    ("power_cycles", Value::U64(stats.power_cycles)),
-                ]);
-                if let Some(tag) = param_u64(p, "tag") {
-                    let detail = sim.tag_status(tag as usize).ok_or_else(|| {
-                        RpcError::protocol(
-                            rpc::INVALID_PARAMS,
-                            format!("tag {tag} is outside the fleet"),
-                        )
-                    })?;
-                    push_field(
-                        &mut status,
-                        "tag",
-                        obj(vec![
-                            ("index", Value::U64(detail.index as u64)),
-                            ("distance_m", Value::F64(detail.distance_m)),
-                            ("v_cap", Value::F64(detail.v_cap)),
-                            ("powered", Value::Bool(detail.powered)),
-                            ("inventoried", Value::Bool(detail.inventoried)),
-                            ("ever_read", Value::Bool(detail.ever_read)),
-                            ("power_cycles", Value::U64(u64::from(detail.power_cycles))),
-                            ("active_secs", Value::F64(detail.active_secs)),
-                        ]),
-                    );
-                }
-                Ok(status)
+                let tag: Option<u64> = param(p, "tag")?;
+                self.with_fleet(p, |fid, FleetEntry { sim, .. }| {
+                    let stats = sim.stats();
+                    let status = fields(&[
+                        ("fleet", &fid),
+                        ("tags", &stats.tags),
+                        ("sim_ms", &sim.now().as_millis_f64()),
+                        ("q", &sim.reader().q()),
+                        ("rounds", &stats.gen2.rounds),
+                        ("slots", &stats.gen2.slots()),
+                        ("epcs", &stats.gen2.epcs_read),
+                        ("collisions", &stats.gen2.collision_slots),
+                        ("unique_tags_read", &stats.unique_tags_read),
+                        ("powered", &stats.powered_at_end),
+                        ("power_cycles", &stats.power_cycles),
+                    ]);
+                    let Some(tag) = tag else {
+                        return Ok(status);
+                    };
+                    let detail = usize::try_from(tag).ok().and_then(|k| sim.tag_status(k));
+                    let outside =
+                        || RpcError::invalid_params(format!("tag {tag} is outside the fleet"));
+                    Ok(with_field(status, "tag", detail.ok_or_else(outside)?))
+                })
             }
             "fleet_destroy" => {
-                let fid = param_u64(p, "fleet")
-                    .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, "missing `fleet`"))?;
-                let removed = self
-                    .inner
-                    .lock()
-                    .expect("hub lock")
-                    .fleets
-                    .remove(&fid)
-                    .is_some();
-                if !removed {
-                    return Err(RpcError::protocol(
-                        rpc::INVALID_REQUEST,
-                        format!("fleet {fid} is gone"),
-                    ));
+                let fid = required(p, "fleet")?;
+                if self.hub().fleets.entries.remove(&fid).is_none() {
+                    return Err(RpcError::invalid_request(format!("fleet {fid} is gone")));
                 }
-                Ok(obj(vec![("destroyed", Value::U64(fid))]))
+                Ok(fields(&[("destroyed", &fid)]))
             }
             "shutdown" => {
                 *shutdown = true;
-                Ok(obj(vec![("ok", Value::Bool(true))]))
+                Ok(fields(&[("ok", &true)]))
             }
             other => Err(RpcError::protocol(
                 rpc::METHOD_NOT_FOUND,
@@ -857,103 +694,114 @@ impl SessionHub {
         // Sessions are described by a rebuildable `SessionSpec` (not a
         // bare builder) so the hub can record them: the spec is embedded
         // in the tape and the recording replays in a fresh process.
-        let source = match (param_str(p, "firmware"), param_str(p, "source")) {
-            (Some(preset), _) => preset_source(preset).ok_or_else(|| {
-                RpcError::protocol(
-                    rpc::INVALID_PARAMS,
-                    format!(
+        let source = match (param::<&str>(p, "firmware")?, param(p, "source")?) {
+            (Some(preset), _) => FIRMWARE_PRESETS
+                .iter()
+                .find(|(name, _)| *name == preset)
+                .map(|(_, source)| *source)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = FIRMWARE_PRESETS.iter().map(|(name, _)| *name).collect();
+                    RpcError::invalid_params(format!(
                         "unknown firmware preset `{preset}` (have: {})",
-                        FIRMWARE_PRESETS.join(", ")
-                    ),
-                )
-            })?,
+                        names.join(", ")
+                    ))
+                })?,
             (None, Some(source)) => source,
             (None, None) => {
-                return Err(RpcError::protocol(
-                    rpc::INVALID_PARAMS,
+                return Err(RpcError::invalid_params(
                     "need `firmware` (a preset name) or `source` (assembly text)",
                 ))
             }
         };
         let mut spec = SessionSpec::bench(source);
-        if let Some(seed) = param_u64(p, "seed") {
-            spec.seed = seed;
-        }
-        if let Some(h) = p.get_field("harvester") {
+        spec.seed = param(p, "seed")?.unwrap_or(spec.seed);
+        if let Some(h) = param::<&Value>(p, "harvester")? {
             spec.world = WorldSpec::Harvester {
                 spec: HarvesterSpec::Thevenin {
-                    v_oc: param_f64(h, "voc").unwrap_or(3.2),
-                    r_src: param_f64(h, "r").unwrap_or(1500.0),
+                    v_oc: param(h, "voc")?.unwrap_or(3.2),
+                    r_src: positive(param(h, "r")?.unwrap_or(1500.0), "r")?,
                 },
             };
-        } else if let Some(rfid) = p.get_field("rfid") {
-            let distance = param_f64(rfid, "distance").ok_or_else(|| {
-                RpcError::protocol(rpc::INVALID_PARAMS, "rfid needs `distance` (metres)")
-            })?;
+        } else if let Some(rfid) = param::<&Value>(p, "rfid")? {
             spec.world = WorldSpec::Rfid {
-                distance_m: distance,
+                distance_m: positive(required(rfid, "distance")?, "distance")?,
             };
         }
-        if let Some(deadline) = param_us(p, "deadline_us")? {
-            spec.edb.cmd_timeout = deadline;
-        }
-        if let Some(retries) = param_u64(p, "retries") {
-            spec.edb.cmd_retries = u32::try_from(retries).map_err(|_| {
-                RpcError::protocol(
-                    rpc::INVALID_PARAMS,
-                    format!("`retries` = {retries} exceeds {}", u32::MAX),
-                )
-            })?;
-        }
-        if let Some(flush) = param_us(p, "retry_flush_us")? {
-            spec.edb.retry_flush = flush;
-        }
-        if let Some(fault) = p.get_field("fault") {
+        let edb = &mut spec.edb;
+        edb.cmd_timeout = duration(p, "deadline_us", SimTime::ZERO)?.unwrap_or(edb.cmd_timeout);
+        edb.cmd_retries = param(p, "retries")?.unwrap_or(edb.cmd_retries);
+        edb.retry_flush = duration(p, "retry_flush_us", SimTime::ZERO)?.unwrap_or(edb.retry_flush);
+        if let Some(fault) = param::<&Value>(p, "fault")? {
             spec.channel_fault = Some(ChannelFaultConfig {
-                bit_flip: param_f64(fault, "bit_flip").unwrap_or(0.0),
-                drop: param_f64(fault, "drop").unwrap_or(0.0),
-                duplicate: param_f64(fault, "duplicate").unwrap_or(0.0),
-                seed: param_u64(fault, "seed").unwrap_or(0),
+                bit_flip: param(fault, "bit_flip")?.unwrap_or(0.0),
+                drop: param(fault, "drop")?.unwrap_or(0.0),
+                duplicate: param(fault, "duplicate")?.unwrap_or(0.0),
+                seed: param(fault, "seed")?.unwrap_or(0),
             });
         }
-        let record = param_bool(p, "record").unwrap_or(true);
-        let stride = param_u64(p, "record_stride").unwrap_or(32);
+        let record = param(p, "record")?.unwrap_or(true);
+        let stride = param(p, "record_stride")?.unwrap_or(32);
         let mut session = if record {
             spec.record(stride)
         } else {
             spec.build()
-        }
-        .map_err(|e| RpcError::engine(&e))?;
-        let opened = match param_ms(p, "wait_session_ms", session.now())? {
-            Some(timeout) => session.run_until_session(timeout),
-            None => false,
-        };
-        let sid = {
-            let mut inner = self.inner.lock().expect("hub lock");
-            let sid = inner.next_id;
-            inner.next_id += 1;
-            inner.sessions.insert(sid, Arc::new(Mutex::new(session)));
-            sid
-        };
+        }?;
+        let opened = duration(p, "wait_session_ms", session.now())?
+            .is_some_and(|timeout| session.run_until_session(timeout));
+        let sid = self.hub().sessions.insert(session);
         conn.attached = Some(sid);
-        Ok(obj(vec![
-            ("session", Value::U64(sid)),
-            ("session_active", Value::Bool(opened)),
-            ("recording", Value::Bool(record)),
+        Ok(fields(&[
+            ("session", &sid),
+            ("session_active", &opened),
+            ("recording", &record),
         ]))
     }
 }
 
-/// Appends a field to an object [`Value`] (no-op on non-objects).
-fn push_field(value: &mut Value, name: &str, field: Value) {
-    if let Value::Map(entries) = value {
-        entries.push((Value::Str(name.to_string()), field));
-    }
+/// An object result: `(name, value)` fields, in order.
+fn fields(entries: &[(&str, &dyn Serialize)]) -> Value {
+    obj(entries
+        .iter()
+        .map(|&(name, v)| (name, v.to_value()))
+        .collect())
 }
 
-fn required_u16(params: &Value, name: &str) -> Result<u16, RpcError> {
-    param_u16(params, name)?
-        .ok_or_else(|| RpcError::protocol(rpc::INVALID_PARAMS, format!("missing `{name}`")))
+/// Appends a field to an object [`Value`] (no-op on non-objects).
+fn with_field(mut value: Value, name: &str, field: impl Serialize) -> Value {
+    if let Value::Map(entries) = &mut value {
+        entries.push((Value::Str(name.to_string()), field.to_value()));
+    }
+    value
+}
+
+/// The session's status with one more field appended.
+fn status_with(session: &DebugSession, name: &str, field: impl Serialize) -> Value {
+    with_field(session.status().to_value(), name, field)
+}
+
+/// A physical parameter that must be positive and finite: a zero source
+/// resistance or reader distance has no model.
+fn positive(value: f64, name: &str) -> Result<f64, RpcError> {
+    if value > 0.0 && value.is_finite() {
+        return Ok(value);
+    }
+    let message = format!("`{name}` must be positive and finite, got {value}");
+    Err(RpcError::invalid_params(message))
+}
+
+/// The error for an engine reply that does not answer the request.
+fn unexpected(response: DebugResponse, method: &str) -> RpcError {
+    RpcError::invalid_request(format!("engine returned {response:?} for {method}"))
+}
+
+/// Writes exported recording bytes to the client-named `path`, if any,
+/// and returns their length.
+fn save(path: Option<&str>, bytes: &[u8]) -> Result<usize, RpcError> {
+    if let Some(path) = path {
+        std::fs::write(path, bytes)
+            .map_err(|e| RpcError::invalid_request(format!("cannot write `{path}`: {e}")))?;
+    }
+    Ok(bytes.len())
 }
 
 #[cfg(test)]
@@ -1142,6 +990,35 @@ mod tests {
         assert!(created.contains(r#""session_active":true"#), "{created}");
         let read = call(&hub, &mut conn, 17, "read", r#"{"addr":17408}"#);
         assert!(read.contains(r#""result""#), "{read}");
+
+        // Physical values with no model, and params of the wrong type,
+        // are rejected: never handed to the engine, never read as absent.
+        let sessions = hub.session_count();
+        for (id, method, params) in [
+            (18, "create", r#"{"firmware":"spin","harvester":{"r":0}}"#),
+            (19, "create", r#"{"firmware":"spin","rfid":{"distance":0}}"#),
+            (20, "create", r#"{"firmware":"spin","record":"no"}"#),
+            (
+                21,
+                "create",
+                r#"{"firmware":"assert","wait_session_ms":"2000"}"#,
+            ),
+            (22, "create", r#"{"firmware":"spin","seed":"7"}"#),
+            (23, "create", r#"{"firmware":"spin","harvester":5}"#),
+            (24, "step", r#"{"count":"3"}"#),
+            (25, "subscribe_events", r#"{"tags":"energy"}"#),
+            (26, "disasm", r#"{"addr":99999}"#),
+        ] {
+            let err = call(&hub, &mut conn, id, method, params);
+            assert!(err.contains(r#""code":-32602"#), "{method} {params}: {err}");
+        }
+        assert_eq!(
+            hub.session_count(),
+            sessions,
+            "rejected creates add nothing"
+        );
+        let status = call(&hub, &mut conn, 27, "status", "{}");
+        assert!(status.contains(r#""session_active":true"#), "{status}");
     }
 
     #[test]

@@ -27,6 +27,9 @@ pub const INVALID_REQUEST: i64 = -32600;
 pub const METHOD_NOT_FOUND: i64 = -32601;
 /// Standard JSON-RPC: bad parameters.
 pub const INVALID_PARAMS: i64 = -32602;
+/// Standard JSON-RPC: the server failed while executing the request (a
+/// panic contained by the dispatcher, or a session it quarantined).
+pub const INTERNAL_ERROR: i64 = -32603;
 
 /// The EDB error-code block base: variant *k* of [`EdbError`] maps to
 /// `EDB_ERROR_BASE - k`, giving each taxonomy variant a stable,
@@ -89,6 +92,26 @@ impl RpcError {
             message: message.into(),
             data: None,
         }
+    }
+
+    /// An `INVALID_PARAMS` failure.
+    pub(crate) fn invalid_params(message: impl Into<String>) -> Self {
+        RpcError::protocol(INVALID_PARAMS, message)
+    }
+
+    /// An `INTERNAL_ERROR` failure.
+    pub(crate) fn internal(message: impl Into<String>) -> Self {
+        RpcError::protocol(INTERNAL_ERROR, message)
+    }
+
+    /// An `INVALID_REQUEST` failure.
+    pub(crate) fn invalid_request(message: impl Into<String>) -> Self {
+        RpcError::protocol(INVALID_REQUEST, message)
+    }
+
+    /// The `INVALID_PARAMS` failure for a parameter a method needs.
+    pub(crate) fn missing(name: &str) -> Self {
+        RpcError::invalid_params(format!("missing `{name}`"))
     }
 
     /// Wraps a typed engine error, carrying the exact variant in `data`.
@@ -178,16 +201,11 @@ pub fn parse_request(text: &str) -> Result<RpcRequest, (Option<u64>, RpcError)> 
         _ => None,
     };
     if value.get_field("jsonrpc").and_then(Value::as_str) != Some(VERSION) {
-        return Err((
-            id,
-            RpcError::protocol(INVALID_REQUEST, "missing or wrong jsonrpc version"),
-        ));
+        let error = RpcError::invalid_request("missing or wrong jsonrpc version");
+        return Err((id, error));
     }
     let Some(method) = value.get_field("method").and_then(Value::as_str) else {
-        return Err((
-            id,
-            RpcError::protocol(INVALID_REQUEST, "missing method name"),
-        ));
+        return Err((id, RpcError::invalid_request("missing method name")));
     };
     let params = value.get_field("params").cloned().unwrap_or(Value::Null);
     Ok(RpcRequest {
@@ -201,89 +219,98 @@ pub fn parse_request(text: &str) -> Result<RpcRequest, (Option<u64>, RpcError)> 
 // Typed parameter extraction
 // ---------------------------------------------------------------------
 
-/// Reads an unsigned integer parameter.
-pub fn param_u64(params: &Value, name: &str) -> Option<u64> {
-    match params.get_field(name) {
-        Some(Value::U64(n)) => Some(*n),
+/// A type one request parameter (or one field of a result object)
+/// reads as. The wire shape is strict: a present value of another
+/// shape, or out of the type's range, is an error rather than a
+/// default.
+pub trait Param<'a>: Sized {
+    /// What the value must be, as the error message words it.
+    const KIND: &'static str;
+    /// The value, if it has this type's shape and range.
+    fn from_param(value: &'a Value) -> Option<Self>;
+}
+
+/// Implements [`Param`] for each `type => kind, |value| reader;`.
+macro_rules! params {
+    ($($t:ty => $kind:literal, |$v:ident| $read:expr;)*) => {$(
+        impl<'a> Param<'a> for $t {
+            const KIND: &'static str = $kind;
+            fn from_param($v: &'a Value) -> Option<Self> {
+                $read
+            }
+        }
+    )*};
+}
+
+params! {
+    u64 => "an unsigned integer", |v| match v {
+        Value::U64(n) => Some(*n),
         _ => None,
+    };
+    u32 => "a 32-bit unsigned integer", |v| u64::from_param(v)?.try_into().ok();
+    u16 => "a 16-bit unsigned integer", |v| u64::from_param(v)?.try_into().ok();
+    u8 => "an 8-bit unsigned integer", |v| u64::from_param(v)?.try_into().ok();
+    // Integers coerce to numbers.
+    f64 => "a number", |v| match v {
+        Value::F64(x) => Some(*x),
+        Value::U64(n) => Some(*n as f64),
+        Value::I64(n) => Some(*n as f64),
+        _ => None,
+    };
+    bool => "a boolean", |v| match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    };
+    &'a str => "a string", |v| v.as_str();
+    // A nested object (`harvester`, `rfid`, `fault`) reads as itself,
+    // for further `param` reads of its fields.
+    &'a Value => "an object", |v| v.as_map().map(|_| v);
+    String => "a string", |v| v.as_str().map(String::from);
+    Vec<String> => "an array of strings", |v| v.as_seq()?.iter().map(String::from_param).collect();
+    Vec<&'a Value> => "an array of objects", |v| v.as_seq()?.iter().map(<&Value>::from_param).collect();
+}
+
+/// Reads parameter `name` of `params` as a `T`: `None` when it is
+/// absent or `null`, an `INVALID_PARAMS` error when it is present with
+/// the wrong type or out of range.
+pub fn param<'a, T: Param<'a>>(params: &'a Value, name: &str) -> Result<Option<T>, RpcError> {
+    match params.get_field(name) {
+        None | Some(Value::Null) => Ok(None),
+        Some(value) => T::from_param(value).map(Some).ok_or_else(|| {
+            RpcError::invalid_params(format!("`{name}` must be {}, got {value:?}", T::KIND))
+        }),
     }
 }
 
-/// Reads a millisecond duration parameter as simulated time, to be
-/// counted from the clock reading `from`. Like [`param_u64`], a missing
-/// or non-integer value reads as `None`; a duration whose nanoseconds
-/// overflow `u64`, or that would carry the clock past `u64::MAX`, is an
-/// `INVALID_PARAMS` error.
-pub(crate) fn param_ms(
+/// [`param`] for a parameter the method cannot do without.
+pub fn required<'a, T: Param<'a>>(params: &'a Value, name: &str) -> Result<T, RpcError> {
+    param(params, name)?.ok_or_else(|| RpcError::missing(name))
+}
+
+/// Reads a duration parameter as simulated time to be counted from the
+/// clock reading `from`. A duration is named for its unit: `..._us`
+/// counts microseconds, any other name milliseconds. One whose
+/// nanoseconds overflow `u64`, or that would carry the clock past
+/// `u64::MAX`, is an `INVALID_PARAMS` error.
+pub(crate) fn duration(
     params: &Value,
     name: &str,
     from: SimTime,
 ) -> Result<Option<SimTime>, RpcError> {
-    param_duration(params, name, from, 1_000_000, "ms")
-}
-
-/// Reads a microsecond duration parameter as simulated time, checked
-/// like [`param_ms`] counted from the clock's origin.
-pub(crate) fn param_us(params: &Value, name: &str) -> Result<Option<SimTime>, RpcError> {
-    param_duration(params, name, SimTime::ZERO, 1_000, "us")
-}
-
-/// The checked reader behind [`param_ms`] and [`param_us`]: `ns_per`
-/// nanoseconds per `unit`.
-fn param_duration(
-    params: &Value,
-    name: &str,
-    from: SimTime,
-    ns_per: u64,
-    unit: &str,
-) -> Result<Option<SimTime>, RpcError> {
-    let Some(n) = param_u64(params, name) else {
+    let ns_per: u64 = if name.ends_with("_us") {
+        1_000
+    } else {
+        1_000_000
+    };
+    let Some(n) = param::<u64>(params, name)? else {
         return Ok(None);
     };
     n.checked_mul(ns_per)
         .filter(|ns| from.as_ns().checked_add(*ns).is_some())
         .map(|ns| Some(SimTime::from_ns(ns)))
         .ok_or_else(|| {
-            RpcError::protocol(
-                INVALID_PARAMS,
-                format!("`{name}` = {n} {unit} overflows the simulation clock"),
-            )
+            RpcError::invalid_params(format!("`{name}` = {n} overflows the simulation clock"))
         })
-}
-
-/// Reads a float parameter (integers coerce).
-pub fn param_f64(params: &Value, name: &str) -> Option<f64> {
-    match params.get_field(name) {
-        Some(Value::F64(x)) => Some(*x),
-        Some(Value::U64(n)) => Some(*n as f64),
-        Some(Value::I64(n)) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// Reads a string parameter.
-pub fn param_str<'a>(params: &'a Value, name: &str) -> Option<&'a str> {
-    params.get_field(name).and_then(Value::as_str)
-}
-
-/// Reads a boolean parameter.
-pub fn param_bool(params: &Value, name: &str) -> Option<bool> {
-    match params.get_field(name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-/// Reads a 16-bit address/word parameter, rejecting out-of-range values.
-pub fn param_u16(params: &Value, name: &str) -> Result<Option<u16>, RpcError> {
-    match params.get_field(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::U64(n)) if *n <= u64::from(u16::MAX) => Ok(Some(*n as u16)),
-        Some(other) => Err(RpcError::protocol(
-            INVALID_PARAMS,
-            format!("`{name}` must be a 16-bit unsigned integer, got {other:?}"),
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -341,6 +368,38 @@ mod tests {
         }
     }
 
+    /// Absent and `null` params read as `None`; a present param of the
+    /// wrong type or range is `INVALID_PARAMS`, never a silent default.
+    #[test]
+    fn params_are_absent_or_typed_never_defaulted() {
+        let p: Value = serde_json::from_str(
+            r#"{"addr":99999,"id":7,"on":"no","tags":["a",1],"v":2,"h":{"r":1},"n":null}"#,
+        )
+        .expect("valid json");
+        assert_eq!(param::<u16>(&p, "missing"), Ok(None));
+        assert_eq!(param::<u16>(&p, "n"), Ok(None));
+        assert_eq!(param::<u8>(&p, "id"), Ok(Some(7)));
+        assert_eq!(param::<f64>(&p, "v"), Ok(Some(2.0)));
+        let h: &Value = required(&p, "h").expect("an object");
+        assert_eq!(param::<f64>(h, "r"), Ok(Some(1.0)));
+        let err = param::<u16>(&p, "addr").unwrap_err();
+        assert_eq!(err.code, INVALID_PARAMS);
+        assert_eq!(
+            err.message,
+            "`addr` must be a 16-bit unsigned integer, got U64(99999)"
+        );
+        for err in [
+            param::<bool>(&p, "on").unwrap_err(),
+            param::<Vec<String>>(&p, "tags").unwrap_err(),
+            param::<&Value>(&p, "v").unwrap_err(),
+            param::<&str>(&p, "id").unwrap_err(),
+            required::<u64>(&p, "n").unwrap_err(),
+        ] {
+            assert_eq!(err.code, INVALID_PARAMS, "{err:?}");
+        }
+        assert_eq!(required::<u64>(&p, "n").unwrap_err().message, "missing `n`");
+    }
+
     #[test]
     fn request_lines_parse_and_reject() {
         let ok = parse_request(r#"{"jsonrpc":"2.0","id":3,"method":"status","params":{}}"#)
@@ -379,6 +438,7 @@ mod tests {
             INVALID_REQUEST,
             METHOD_NOT_FOUND,
             INVALID_PARAMS,
+            INTERNAL_ERROR,
         ] {
             assert!(!(EDB_ERROR_BASE - 100..=EDB_ERROR_BASE).contains(&code));
         }

@@ -8,8 +8,9 @@
 //! as a `String`, so the whole display is testable headlessly (and the
 //! binary's `--script` mode prints the same frames to stdout).
 
-use crate::rpc::{param_bool, param_f64, param_str, param_u64};
-use serde::Value;
+use crate::rpc::{param, Param};
+use edb_core::SessionStatus;
+use serde::{Deserialize, Value};
 use std::collections::VecDeque;
 
 /// Frame width, characters.
@@ -68,46 +69,6 @@ impl Frame {
     }
 }
 
-/// The status fields the TUI shows, parsed from a `status` result.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatusView {
-    /// Simulation time, nanoseconds.
-    pub time_ns: u64,
-    /// Capacitor voltage, volts.
-    pub v_cap: f64,
-    /// Regulated rail, volts.
-    pub v_reg: f64,
-    /// Target powered?
-    pub powered: bool,
-    /// Power cycles so far.
-    pub reboots: u64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Interactive session open?
-    pub session_active: bool,
-    /// Inside an energy guard?
-    pub in_guard: bool,
-    /// Program counter.
-    pub pc: u16,
-}
-
-impl StatusView {
-    /// Parses a `status` (or `run_until`/`step`) result object.
-    pub fn from_value(value: &Value) -> StatusView {
-        StatusView {
-            time_ns: param_u64(value, "time_ns").unwrap_or(0),
-            v_cap: param_f64(value, "v_cap").unwrap_or(0.0),
-            v_reg: param_f64(value, "v_reg").unwrap_or(0.0),
-            powered: param_bool(value, "powered").unwrap_or(false),
-            reboots: param_u64(value, "reboots").unwrap_or(0),
-            instructions: param_u64(value, "instructions").unwrap_or(0),
-            session_active: param_bool(value, "session_active").unwrap_or(false),
-            in_guard: param_bool(value, "in_guard").unwrap_or(false),
-            pc: param_u64(value, "pc").unwrap_or(0) as u16,
-        }
-    }
-}
-
 /// Everything the TUI shows, updated from call results and event
 /// notifications.
 #[derive(Debug, Clone, Default)]
@@ -115,7 +76,7 @@ pub struct TuiState {
     /// The attached session ID.
     pub session: Option<u64>,
     /// The last status snapshot.
-    pub status: StatusView,
+    pub status: SessionStatus,
     /// Recent `Vcap` readings, oldest first (bounded).
     pub vcap_history: VecDeque<f64>,
     /// Disassembly around the PC: `(addr, text)` rows.
@@ -137,10 +98,17 @@ impl TuiState {
         TuiState::default()
     }
 
-    /// Applies a status result object (and samples its `Vcap`).
+    /// Applies a status result object (and samples its `Vcap`); one
+    /// that does not parse as a status leaves the view as it was.
     pub fn apply_status(&mut self, value: &Value) {
-        self.status = StatusView::from_value(value);
-        self.vcap_history.push_back(self.status.v_cap);
+        if let Ok(status) = SessionStatus::from_value(value) {
+            self.push_vcap(status.v_cap);
+            self.status = status;
+        }
+    }
+
+    fn push_vcap(&mut self, v: f64) {
+        self.vcap_history.push_back(v);
         while self.vcap_history.len() > VCAP_KEEP {
             self.vcap_history.pop_front();
         }
@@ -148,44 +116,37 @@ impl TuiState {
 
     /// Applies a `disasm` result object.
     pub fn apply_disasm(&mut self, value: &Value) {
-        self.disasm.clear();
-        if let Some(Value::Seq(lines)) = value.get_field("lines") {
-            for line in lines {
-                let addr = param_u64(line, "addr").unwrap_or(0) as u16;
-                let text = param_str(line, "text").unwrap_or("").to_string();
-                self.disasm.push((addr, text));
-            }
-        }
+        let lines: Vec<&Value> = field(value, "lines").unwrap_or_default();
+        let row = |line| {
+            (
+                field(line, "addr").unwrap_or(0),
+                field(line, "text").unwrap_or_default(),
+            )
+        };
+        self.disasm = lines.into_iter().map(row).collect();
     }
 
     /// Applies a `breakpoints` result object.
     pub fn apply_breakpoints(&mut self, value: &Value) {
-        self.breakpoints.clear();
-        if let Some(Value::Seq(list)) = value.get_field("breakpoints") {
-            for bp in list {
-                let id = param_u64(bp, "id").unwrap_or(0) as u8;
-                self.breakpoints.push((id, param_f64(bp, "energy")));
-            }
-        }
+        let list: Vec<&Value> = field(value, "breakpoints").unwrap_or_default();
+        let row = |bp| (field(bp, "id").unwrap_or(0), field(bp, "energy"));
+        self.breakpoints = list.into_iter().map(row).collect();
     }
 
     /// Applies one server notification (an `event` line's full object).
     pub fn push_event(&mut self, notification: &Value) {
-        let Some(params) = notification.get_field("params") else {
+        let Some(params) = field::<&Value>(notification, "params") else {
             return;
         };
-        let time_ns = param_u64(params, "time_ns").unwrap_or(0);
-        let label = param_str(params, "label").unwrap_or("?");
-        if param_str(params, "tag") == Some("energy") {
+        let time_ns = field(params, "time_ns").unwrap_or(0u64);
+        let label = field(params, "label").unwrap_or("?");
+        if field(params, "tag") == Some("energy") {
             if let Some(v) = label
                 .strip_prefix("energy ")
                 .and_then(|s| s.strip_suffix(" V"))
                 .and_then(|s| s.parse::<f64>().ok())
             {
-                self.vcap_history.push_back(v);
-                while self.vcap_history.len() > VCAP_KEEP {
-                    self.vcap_history.pop_front();
-                }
+                self.push_vcap(v);
             }
             return;
         }
@@ -280,6 +241,12 @@ impl TuiState {
         );
         f.render()
     }
+}
+
+/// Field `name` of a result object the server rendered, if present and
+/// of the expected type.
+pub fn field<'a, T: Param<'a>>(value: &'a Value, name: &str) -> Option<T> {
+    param(value, name).ok().flatten()
 }
 
 /// A one-row bar chart of recent readings, scaled to the data range.

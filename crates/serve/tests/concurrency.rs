@@ -6,7 +6,7 @@
 use serde::Value;
 use std::collections::BTreeSet;
 
-use edb_serve::rpc::{obj, param_u64};
+use edb_serve::rpc::{obj, required};
 use edb_serve::{Client, Server, ServerConfig};
 
 const SESSIONS: u64 = 16;
@@ -32,7 +32,7 @@ fn exercise(addr: &str, index: u64) -> (u64, Vec<Value>) {
             ],
         )
         .expect("create call");
-    let session = param_u64(&out.outcome.expect("create succeeds"), "session")
+    let session: u64 = required(&out.outcome.expect("create succeeds"), "session")
         .expect("create returns a session id");
     seen.extend(out.notifications);
 
@@ -61,8 +61,8 @@ fn exercise(addr: &str, index: u64) -> (u64, Vec<Value>) {
     let out = client
         .call("read", vec![("addr", Value::U64(0x6100))])
         .expect("read call");
-    let value =
-        param_u64(&out.outcome.expect("read succeeds"), "value").expect("read returns a value");
+    let value: u64 =
+        required(&out.outcome.expect("read succeeds"), "value").expect("read returns a value");
     seen.extend(out.notifications);
     assert_eq!(
         value, marker,
@@ -113,7 +113,7 @@ fn sixteen_sessions_stay_isolated() {
         );
         for note in notes {
             let params = note.get_field("params").expect("notification has params");
-            let tagged = param_u64(params, "session").expect("event carries a session id");
+            let tagged: u64 = required(params, "session").expect("event carries a session id");
             assert_eq!(
                 tagged, *session,
                 "session {session} received an event for session {tagged}"

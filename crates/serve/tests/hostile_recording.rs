@@ -1,11 +1,16 @@
-//! A crafted recording cannot take the server down.
+//! Hostile input cannot take the server down.
 //!
 //! `fleet_verify` parses a file the client names. A Spec chunk nested
 //! 200 000 levels deep, with valid chunk digests, used to recurse the
 //! decoder off the end of the worker thread's stack and abort the whole
 //! process. It must come back as a JSON-RPC error, with the server still
 //! answering afterwards.
+//!
+//! A request that panics inside a session poisons that session's lock.
+//! The session must then answer a typed error and leave the hub, while
+//! every other session and the connection itself keep serving.
 
+use edb_serve::rpc::{self, obj};
 use edb_serve::{Client, Server, ServerConfig};
 use serde::Value;
 
@@ -78,4 +83,55 @@ fn fleet_verify_on_a_deeply_nested_file_is_an_rpc_error() {
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_poisoned_session_answers_a_typed_error_and_the_rest_keep_serving() {
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+    })
+    .expect("server starts");
+    let addr = server.addr().to_string();
+    let create = |client: &mut Client| {
+        let spec = vec![
+            ("firmware", Value::Str("assert".to_string())),
+            (
+                "harvester",
+                obj(vec![("voc", Value::F64(3.2)), ("r", Value::F64(220.0))]),
+            ),
+            ("wait_session_ms", Value::U64(2000)),
+        ];
+        let out = client.call("create", spec).expect("the server replies");
+        let result = out.outcome.expect("create succeeds");
+        rpc::required::<u64>(&result, "session").expect("a session id")
+    };
+    let mut victim = Client::connect(&addr).expect("client connects");
+    let mut bystander = Client::connect(&addr).expect("second client connects");
+    let poisoned = create(&mut victim);
+    let healthy = create(&mut bystander);
+    assert_ne!(poisoned, healthy);
+
+    server.hub().poison_session(poisoned);
+
+    // The poisoned session answers a typed error, then is gone.
+    let out = victim.call("status", vec![]).expect("the server replies");
+    let err = out.outcome.expect_err("a poisoned session is not served");
+    assert_eq!(err.code, rpc::INTERNAL_ERROR, "{err:?}");
+    let out = victim.call("status", vec![]).expect("the server replies");
+    let err = out.outcome.expect_err("the session was removed");
+    assert_eq!(err.code, rpc::INVALID_REQUEST, "{err:?}");
+    assert!(err.message.contains("is gone"), "{err:?}");
+    assert_eq!(server.hub().session_count(), 1);
+
+    // The other session keeps serving, and so does the same connection.
+    let out = bystander
+        .call("read", vec![("addr", Value::U64(0x6000))])
+        .expect("the server replies");
+    assert!(out.outcome.is_ok(), "{:?}", out.outcome);
+    let info = victim.call("server_info", vec![]).expect("server replies");
+    let info = info.outcome.expect("server_info succeeds");
+    assert_eq!(rpc::required::<u64>(&info, "sessions"), Ok(1));
+
+    server.stop();
 }
