@@ -138,27 +138,20 @@ pub struct Manifest {
 // on attached-vs-detached runs differing only by the presence of this
 // one key.
 impl Serialize for Manifest {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let mut fields = vec![
-            (
-                Value::Str("root_seed".to_string()),
-                self.root_seed.to_value(),
-            ),
-            (Value::Str("threads".to_string()), self.threads.to_value()),
-            (
-                Value::Str("total_wall_s".to_string()),
-                self.total_wall_s.to_value(),
-            ),
-            (
-                Value::Str("experiments".to_string()),
-                self.experiments.to_value(),
-            ),
-        ];
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(4 + usize::from(self.obs.is_some()));
+        sink.str("root_seed");
+        self.root_seed.serialize(sink);
+        sink.str("threads");
+        self.threads.serialize(sink);
+        sink.str("total_wall_s");
+        self.total_wall_s.serialize(sink);
+        sink.str("experiments");
+        self.experiments.serialize(sink);
         if let Some(obs) = &self.obs {
-            fields.push((Value::Str("obs".to_string()), obs.to_value()));
+            sink.str("obs");
+            obs.serialize(sink);
         }
-        Value::Map(fields)
     }
 }
 

@@ -191,24 +191,6 @@ pub struct SessionSpec {
 // byte layout (the `ckpt` key appears only when set; the derived
 // Deserialize reads a missing key as `None`).
 impl Serialize for SessionSpec {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            (Value::Str("device".into()), self.device.to_value()),
-            (Value::Str("world".into()), self.world.to_value()),
-            (Value::Str("seed".into()), self.seed.to_value()),
-            (Value::Str("edb".into()), self.edb.to_value()),
-            (
-                Value::Str("channel_fault".into()),
-                self.channel_fault.to_value(),
-            ),
-            (Value::Str("firmware".into()), self.firmware.to_value()),
-        ];
-        if self.ckpt.is_some() {
-            fields.push((Value::Str("ckpt".into()), self.ckpt.to_value()));
-        }
-        Value::Map(fields)
-    }
-
     fn serialize(&self, sink: &mut dyn Sink) {
         sink.map(6 + usize::from(self.ckpt.is_some()));
         sink.str("device");
@@ -502,17 +484,6 @@ struct SessionState {
 }
 
 impl Serialize for SessionState {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (Value::Str("sys".into()), self.sys.to_value()),
-            (
-                Value::Str("breakpoints".into()),
-                self.breakpoints.to_value(),
-            ),
-            (Value::Str("guards".into()), self.guards.to_value()),
-        ])
-    }
-
     fn serialize(&self, sink: &mut dyn Sink) {
         sink.map(3);
         sink.str("sys");

@@ -1169,13 +1169,6 @@ struct DigestedState<'a> {
 }
 
 impl Serialize for DigestedState<'_> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (Value::Str("device".into()), self.device.to_value()),
-            (Value::Str("edb".into()), self.edb.to_value()),
-        ])
-    }
-
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         sink.map(2);
         sink.str("device");
@@ -1214,10 +1207,6 @@ impl SystemState {
 }
 
 impl Serialize for SystemState {
-    fn to_value(&self) -> Value {
-        self.view().to_value()
-    }
-
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         self.view().serialize(sink);
     }
@@ -1238,20 +1227,6 @@ struct StateView<'a> {
 // historical byte layout: the `ckpt` key appears only when one is
 // attached.
 impl Serialize for StateView<'_> {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            (Value::Str("device".into()), self.device.to_value()),
-            (Value::Str("edb".into()), self.edb.to_value()),
-            (Value::Str("symbols".into()), self.symbols.to_value()),
-            (Value::Str("obs".into()), self.obs.to_value()),
-            (Value::Str("world".into()), self.world.clone()),
-        ];
-        if let Some(engine) = self.ckpt {
-            fields.push((Value::Str("ckpt".into()), engine.to_value()));
-        }
-        Value::Map(fields)
-    }
-
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         sink.map(5 + usize::from(self.ckpt.is_some()));
         sink.str("device");

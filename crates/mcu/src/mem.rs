@@ -131,10 +131,6 @@ impl DecodeCache {
 // The cache is derived state, so snapshots carry no entries: it
 // serializes as `null` and deserializes cold.
 impl Serialize for DecodeCache {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         sink.null();
     }
@@ -179,29 +175,7 @@ pub struct Memory {
 // differential strategy must stay byte-identical to the derived layout
 // this replaces. Field order matches the struct declaration.
 impl Serialize for Memory {
-    fn to_value(&self) -> serde::Value {
-        use serde::Value;
-        let mut fields = vec![
-            (Value::Str("sram".into()), self.sram.to_value()),
-            (Value::Str("fram".into()), self.fram.to_value()),
-            (Value::Str("bus_faults".into()), self.bus_faults.to_value()),
-            (
-                Value::Str("last_fault_addr".into()),
-                self.last_fault_addr.to_value(),
-            ),
-            (
-                Value::Str("decode_cache".into()),
-                self.decode_cache.to_value(),
-            ),
-        ];
-        if self.dirty_sram.is_some() {
-            fields.push((Value::Str("dirty_sram".into()), self.dirty_sram.to_value()));
-        }
-        Value::Map(fields)
-    }
-
-    // The same tree, with the memory images written to the sink as
-    // byte arrays.
+    // The memory images cross the sink as byte arrays.
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         sink.map(5 + usize::from(self.dirty_sram.is_some()));
         sink.str("sram");

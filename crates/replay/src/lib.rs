@@ -437,13 +437,6 @@ impl SnapshotState {
 }
 
 impl Serialize for SnapshotState {
-    fn to_value(&self) -> Value {
-        match self {
-            SnapshotState::Decoded(v) => v.clone(),
-            SnapshotState::Shared(s) => s.to_value(),
-        }
-    }
-
     fn serialize(&self, sink: &mut dyn Sink) {
         match self {
             SnapshotState::Decoded(v) => v.serialize(sink),

@@ -995,21 +995,6 @@ impl CkptEngine {
 // bench that runs the zoo). Strategy internals ride along via the
 // trait's save/load hooks.
 impl Serialize for CkptEngine {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            (Value::Str("config".into()), self.config.to_value()),
-            (
-                Value::Str("next_trigger".into()),
-                self.next_trigger.to_value(),
-            ),
-            (Value::Str("seq".into()), self.seq.to_value()),
-            (Value::Str("arena".into()), self.arena.to_value()),
-            (Value::Str("staged".into()), self.staged.to_value()),
-            (Value::Str("stats".into()), self.stats.to_value()),
-            (Value::Str("strategy".into()), self.strategy.save()),
-        ])
-    }
-
     fn serialize(&self, sink: &mut dyn serde::Sink) {
         sink.map(7);
         sink.str("config");

@@ -120,6 +120,23 @@ pub const FIRMWARE_PRESETS: &[(&str, &str)] = &[
 /// rate and would drown an interactive feed.
 pub const DEFAULT_EVENT_EXCLUDE: &[&str] = &["energy"];
 
+/// The most simulated time one request may run a model forward:
+/// `run_until`'s and `fleet_run`'s `ms`, `create`'s `wait_session_ms`,
+/// and how far a `goto_time` target lies past the session clock. A
+/// request runs holding its session's lock and a pool worker, so a
+/// typed-valid far-future request is refused instead of run. Sized
+/// above the 2 s the transcripts, benchmark and tests ask for at most.
+/// Measured at the limit on a 2-core host: a session request answers
+/// in under 0.5 s, `fleet_run` on a 10^5-tag fleet (the largest
+/// `fleet_create` allows) in about 5 s.
+pub const SIM_BUDGET: SimTime = SimTime::from_ms(2_500);
+
+/// The most steps one request may take: `step`'s `count` (one quantum
+/// each) and `fleet_run`'s `slots`. Sized above the 400 the tests ask
+/// for at most; 1 000 slots of a 10^5-tag fleet take about 2 s on a
+/// 2-core host.
+pub const STEP_LIMIT: u64 = 1_000;
+
 /// One event-stream subscription: which tags pass the filter and how
 /// far into the session's log this connection has streamed.
 #[derive(Debug, Clone)]
@@ -428,11 +445,12 @@ impl SessionHub {
             }
             "run_until" => self.with_session(attached, |s| {
                 let timeout = duration(p, "ms", s.now())?.ok_or_else(|| RpcError::missing("ms"))?;
+                let timeout = within_sim_budget(timeout, "`ms`")?;
                 let opened = s.run_until_session(timeout);
                 Ok(status_with(s, "session_opened", opened))
             }),
             "step" => {
-                let count = param(p, "count")?.unwrap_or(1u64);
+                let count = within_step_limit(param(p, "count")?.unwrap_or(1), "count")?;
                 self.with_session(attached, |s| {
                     for _ in 0..count {
                         s.step();
@@ -524,6 +542,7 @@ impl SessionHub {
                     })?,
                 };
                 self.with_session(attached, |s| {
+                    within_sim_budget(target.since(s.now()), "the run to the target")?;
                     let landed = s.goto_time(target)?;
                     Ok(status_with(s, "landed_ns", landed.as_ns()))
                 })
@@ -606,8 +625,12 @@ impl SessionHub {
                 let slots = param(p, "slots")?;
                 self.with_fleet(p, |fid, FleetEntry { sim, tape }| {
                     let op = match (duration(p, "ms", sim.now())?, slots) {
-                        (Some(t), _) => FleetOp::RunMs(t.as_ns() / 1_000_000),
-                        (None, Some(slots)) => FleetOp::RunSlots(slots),
+                        (Some(t), _) => {
+                            FleetOp::RunMs(within_sim_budget(t, "`ms`")?.as_ns() / 1_000_000)
+                        }
+                        (None, Some(slots)) => {
+                            FleetOp::RunSlots(within_step_limit(slots, "slots")?)
+                        }
                         (None, None) => {
                             return Err(RpcError::invalid_params(
                                 "need `ms` (carrier time) or `slots` (slot count)",
@@ -741,13 +764,17 @@ impl SessionHub {
         }
         let record = param(p, "record")?.unwrap_or(true);
         let stride = param(p, "record_stride")?.unwrap_or(32);
+        // A new session's clock reads zero.
+        let wait = duration(p, "wait_session_ms", SimTime::ZERO)?;
+        let wait = wait
+            .map(|t| within_sim_budget(t, "`wait_session_ms`"))
+            .transpose()?;
         let mut session = if record {
             spec.record(stride)
         } else {
             spec.build()
         }?;
-        let opened = duration(p, "wait_session_ms", session.now())?
-            .is_some_and(|timeout| session.run_until_session(timeout));
+        let opened = wait.is_some_and(|timeout| session.run_until_session(timeout));
         let sid = self.hub().sessions.insert(session);
         conn.attached = Some(sid);
         Ok(fields(&[
@@ -777,6 +804,25 @@ fn with_field(mut value: Value, name: &str, field: impl Serialize) -> Value {
 /// The session's status with one more field appended.
 fn status_with(session: &DebugSession, name: &str, field: impl Serialize) -> Value {
     with_field(session.status().to_value(), name, field)
+}
+
+/// `run`, if it is within [`SIM_BUDGET`]; `what` names it in the error.
+fn within_sim_budget(run: SimTime, what: &str) -> Result<SimTime, RpcError> {
+    if run <= SIM_BUDGET {
+        return Ok(run);
+    }
+    let message =
+        format!("{what} is {run} of simulated time, over the per-request budget of {SIM_BUDGET}");
+    Err(RpcError::invalid_params(message))
+}
+
+/// `n`, if it is within [`STEP_LIMIT`]; `name` is the parameter.
+fn within_step_limit(n: u64, name: &str) -> Result<u64, RpcError> {
+    if n <= STEP_LIMIT {
+        return Ok(n);
+    }
+    let message = format!("`{name}` = {n} is over the per-request step limit of {STEP_LIMIT}");
+    Err(RpcError::invalid_params(message))
 }
 
 /// A physical parameter that must be positive and finite: a zero source
@@ -1019,6 +1065,30 @@ mod tests {
         );
         let status = call(&hub, &mut conn, 27, "status", "{}");
         assert!(status.contains(r#""session_active":true"#), "{status}");
+
+        // Typed-valid requests past the per-request budgets are refused
+        // before they run, naming the limit, and the session keeps
+        // answering.
+        let over_ms = SIM_BUDGET.as_ns() / 1_000_000 + 1;
+        for (id, method, params, limit) in [
+            (28, "goto_time", format!(r#"{{"ns":{max}}}"#), "budget"),
+            (29, "step", format!(r#"{{"count":{max}}}"#), "step limit"),
+            (30, "run_until", format!(r#"{{"ms":{over_ms}}}"#), "budget"),
+        ] {
+            let err = call(&hub, &mut conn, id, method, &params);
+            assert!(err.contains(r#""code":-32602"#), "{method} {params}: {err}");
+            assert!(err.contains(limit), "{method} {params}: {err}");
+            let status = call(&hub, &mut conn, 100 + id, "status", "{}");
+            assert!(status.contains(r#""session_active":true"#), "{status}");
+        }
+        let at_limits = [
+            ("step", format!(r#"{{"count":{STEP_LIMIT}}}"#)),
+            ("run_until", format!(r#"{{"ms":{}}}"#, over_ms - 1)),
+        ];
+        for (method, params) in at_limits {
+            let ran = call(&hub, &mut conn, 31, method, &params);
+            assert!(ran.contains(r#""result""#), "{method} {params}: {ran}");
+        }
     }
 
     #[test]

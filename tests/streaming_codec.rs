@@ -1,12 +1,13 @@
-//! Equivalence of the streaming canonical encoder with the `Value` tree.
+//! The `Value` tree `to_value` builds re-encodes to the streamed bytes.
 //!
 //! Tape snapshots, recordings and `System::state_digest` stream typed
 //! state straight into `edb_replay`'s canonical-bytes and FNV sinks
-//! through the derive-generated `Serialize::serialize`. Recordings on
-//! disk and restores from them go through `to_value`. The two must
-//! agree byte for byte, or a recording taken live would not verify
-//! once reloaded. These tests hold every derive reachable from a bench
-//! snapshot, a session spec and a session op to its `to_value`.
+//! through `Serialize::serialize`. Recordings on disk and restores from
+//! them go through the `Value` tree, which `to_value` builds by
+//! streaming the same `serialize` into serde's `TreeSink`. The tree must
+//! re-encode to the streamed bytes, or a recording taken live would not
+//! verify once reloaded. These tests hold every type reachable from a
+//! bench snapshot, a session spec and a session op to that round trip.
 
 use edb_replay::{digest, encode, value_bytes, Entry};
 use edb_suite::apps::{activity, fib, linked_list, rfid_fw};
