@@ -497,6 +497,22 @@ impl Edb {
             .retain(|b| (b.threshold - threshold).abs() > 1e-3);
     }
 
+    /// The enabled code breakpoints: `(id, energy)` pairs in ID order.
+    pub fn code_breakpoints(&self) -> Vec<(u8, Option<f64>)> {
+        self.code_breakpoints
+            .iter()
+            .map(|(&id, &e)| (id, e))
+            .collect()
+    }
+
+    /// The energy-breakpoint thresholds, volts, in arming order.
+    pub fn energy_thresholds(&self) -> Vec<f64> {
+        self.energy_breakpoints
+            .iter()
+            .map(|b| b.threshold)
+            .collect()
+    }
+
     /// Enables a watchpoint ID (when any ID has been explicitly enabled,
     /// only enabled IDs are logged; by default all are).
     pub fn enable_watchpoint(&mut self, id: u8) {

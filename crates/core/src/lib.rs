@@ -89,6 +89,6 @@ pub use replay::{
     Divergence, Firmware, FleetOp, FleetSpec, FleetTape, HarvesterSpec, SessionOp, SessionSpec,
     VerifyReport, WorldSpec,
 };
-pub use session::{DebugSession, SessionBuilder, SessionStatus};
+pub use session::{DebugSession, SessionStatus};
 pub use system::{System, SystemBuilder, SystemState};
 pub use wiring::{ChannelFault, ChannelFaultConfig, ConnectionKind, LineStates, Wiring};

@@ -5,11 +5,14 @@
 //! reconstruct *any* instant of a run:
 //!
 //! 1. the rebuildable [`SessionSpec`] (device, world, seeds, firmware),
+//!    the one description a session is built from,
 //! 2. the sequence of typed [`SessionOp`]s the frontend issued — the
 //!    run's only inputs, and
-//! 3. periodic full-state snapshots (every `stride` operations)
-//!    so replay can restore near a target instant instead of
-//!    re-executing from the beginning.
+//! 3. periodic full-state snapshots of the bench (every `stride`
+//!    operations) so replay can restore near a target instant instead
+//!    of re-executing from the beginning. The debugger inside the bench
+//!    holds the breakpoints and energy guards, so restoring the bench
+//!    restores them; nothing above it keeps a copy to rewind.
 //!
 //! On top of that substrate sit the time-travel verbs —
 //! [`DebugSession::goto_time`], [`DebugSession::step_back`],
@@ -24,15 +27,15 @@
 //! value encoding, FNV-digested chunks — lives in the `edb-replay`
 //! crate.
 
-use crate::debugger::{DebugRequest, EdbConfig, RequestId};
+use crate::debugger::{DebugRequest, Edb, EdbConfig, RequestId};
 use crate::error::EdbError;
 use crate::fleet::{FleetConfig, FleetSim};
-use crate::session::{DebugSession, SessionBuilder};
-use crate::system::SystemState;
+use crate::session::DebugSession;
+use crate::system::{SystemBuilder, SystemState};
 use crate::wiring::ChannelFaultConfig;
 use edb_device::DeviceConfig;
 use edb_energy::{
-    ConstantCurrent, Fading, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
+    ConstantCurrent, Fading, Harvester, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
 };
 pub use edb_replay::Recording;
 use edb_replay::{digest, CanonicalDigest, Entry, SnapshotState};
@@ -107,31 +110,29 @@ impl HarvesterSpec {
         }
     }
 
-    /// Applies this spec to a [`SessionBuilder`].
-    fn install(&self, builder: SessionBuilder) -> SessionBuilder {
+    /// The harvester this spec describes, fresh at time zero.
+    fn build(&self) -> Box<dyn Harvester> {
         match self {
-            HarvesterSpec::Constant { amps } => builder.harvester(ConstantCurrent::new(*amps)),
-            HarvesterSpec::Thevenin { v_oc, r_src } => {
-                builder.harvester(TheveninSource::new(*v_oc, *r_src))
-            }
+            HarvesterSpec::Constant { amps } => Box::new(ConstantCurrent::new(*amps)),
+            HarvesterSpec::Thevenin { v_oc, r_src } => Box::new(TheveninSource::new(*v_oc, *r_src)),
             HarvesterSpec::Solar {
                 v_oc_peak,
                 r_src,
                 period_s,
                 seed,
-            } => builder.harvester(SolarHarvester::new(*v_oc_peak, *r_src, *period_s, *seed)),
+            } => Box::new(SolarHarvester::new(*v_oc_peak, *r_src, *period_s, *seed)),
             HarvesterSpec::FadingThevenin {
                 v_oc,
                 r_src,
                 sigma,
                 seed,
-            } => builder.harvester(Fading::new(
+            } => Box::new(Fading::new(
                 TheveninSource::new(*v_oc, *r_src),
                 *sigma,
                 *seed,
             )),
             HarvesterSpec::Trace { samples, r_src } => {
-                builder.harvester(TraceHarvester::new(samples.clone(), *r_src))
+                Box::new(TraceHarvester::new(samples.clone(), *r_src))
             }
         }
     }
@@ -160,14 +161,16 @@ pub struct Firmware {
     /// Assembly source.
     pub source: String,
     /// Whether to wrap with the `libEDB` runtime
-    /// ([`crate::libedb::wrap_program`]) before assembling, matching
-    /// [`SessionBuilder::firmware`] (`true`) vs a raw image (`false`).
+    /// ([`crate::libedb::wrap_program`]) before assembling (`true`), or
+    /// to assemble the source as a complete raw image (`false`).
     pub wrap: bool,
 }
 
 /// Everything needed to rebuild a [`DebugSession`] bit-identically:
-/// the initial image plus every seed. This is the `Spec` chunk of a
-/// recording.
+/// the initial image plus every seed. This is the one description of a
+/// session: [`build`](SessionSpec::build) stands it up and
+/// [`record`](SessionSpec::record) also starts its tape, whose `Spec`
+/// chunk is this value.
 #[derive(Debug, Clone, Deserialize)]
 pub struct SessionSpec {
     /// Target device configuration.
@@ -215,7 +218,40 @@ impl Serialize for SessionSpec {
 impl SessionSpec {
     /// The default bench: a WISP-class target on the stiff Thévenin
     /// supply, EDB in the prototype configuration, `source` wrapped with
-    /// the `libEDB` runtime.
+    /// the `libEDB` runtime. Every field is public, so a variant is
+    /// struct-update syntax away.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use edb_core::{EdbConfig, SessionSpec};
+    /// use edb_energy::SimTime;
+    ///
+    /// let spec = SessionSpec {
+    ///     edb: EdbConfig {
+    ///         cmd_timeout: SimTime::from_ms(5),
+    ///         cmd_retries: 3,
+    ///         ..EdbConfig::prototype()
+    ///     },
+    ///     ..SessionSpec::bench(
+    ///         r#"
+    ///         .org 0x4400
+    ///     main:
+    ///         movi sp, 0x2400
+    ///     loop:
+    ///         movi r0, 1
+    ///         call __edb_assert_fail
+    ///         jmp  loop
+    ///         .org 0xFFFE
+    ///         .word main
+    ///         "#,
+    ///     )
+    /// };
+    /// let session = spec.build().expect("firmware assembles");
+    /// assert!(!session.status().session_active);
+    /// let config = session.system().edb().expect("attached").config();
+    /// assert_eq!(config.cmd_retries, 3);
+    /// ```
     pub fn bench(source: &str) -> Self {
         SessionSpec {
             device: DeviceConfig::wisp5(),
@@ -255,14 +291,30 @@ impl SessionSpec {
         }
     }
 
-    /// Builds the session this spec describes.
+    /// Builds the session this spec describes: the bench (device, seed,
+    /// debugger config, world, channel faults, checkpoint engine, in that
+    /// order), flashed with the firmware. Assembly failures surface as
+    /// [`EdbError::Device`].
     pub fn build(&self) -> Result<DebugSession, EdbError> {
-        let mut builder = SessionBuilder::new()
-            .device(self.device)
+        let image = self
+            .firmware
+            .as_ref()
+            .map(|fw| {
+                let source = if fw.wrap {
+                    crate::libedb::wrap_program(&fw.source)
+                } else {
+                    fw.source.clone()
+                };
+                edb_mcu::asm::assemble(&source).map_err(|e| EdbError::Device {
+                    detail: format!("firmware does not assemble: {e}"),
+                })
+            })
+            .transpose()?;
+        let mut builder = SystemBuilder::new(self.device)
             .seed(self.seed)
             .edb_config(self.edb);
         builder = match &self.world {
-            WorldSpec::Harvester { spec } => spec.install(builder),
+            WorldSpec::Harvester { spec } => builder.harvester(spec.build()),
             WorldSpec::Rfid { distance_m } => builder.rfid(*distance_m),
         };
         if let Some(fault) = self.channel_fault {
@@ -271,17 +323,11 @@ impl SessionSpec {
         if let Some(ckpt) = self.ckpt {
             builder = builder.with_checkpoint_strategy(ckpt);
         }
-        if let Some(fw) = &self.firmware {
-            builder = if fw.wrap {
-                builder.firmware(&fw.source)
-            } else {
-                let image = edb_mcu::asm::assemble(&fw.source).map_err(|e| EdbError::Device {
-                    detail: format!("firmware does not assemble: {e}"),
-                })?;
-                builder.image(image)
-            };
+        let mut sys = builder.build();
+        if let Some(image) = &image {
+            sys.flash(image);
         }
-        builder.build()
+        Ok(DebugSession::new(sys))
     }
 
     /// Builds the session *and* starts recording it with the given
@@ -427,8 +473,8 @@ pub(crate) struct Tape {
 }
 
 /// Appends an `Op` entry for `op` (stamped with the *pre-execution*
-/// time). Called at the top of every recorded `DebugSession` method;
-/// no-op when the session is not recording.
+/// time). Called by the session's recording wrapper before each
+/// recorded call; no-op when the session is not recording.
 pub(crate) fn tape_op(session: &mut DebugSession, op: &SessionOp) {
     if session.tape.is_none() {
         return;
@@ -441,7 +487,8 @@ pub(crate) fn tape_op(session: &mut DebugSession, op: &SessionOp) {
 
 /// Marks an operation boundary: counts the op and, every `stride` ops,
 /// appends a full-state snapshot (or a digest, for worlds that cannot
-/// serialize). Called at the bottom of every recorded method.
+/// serialize). Called by the session's recording wrapper after each
+/// recorded call.
 pub(crate) fn tape_boundary(session: &mut DebugSession) {
     let Some(tape) = session.tape.as_mut() else {
         return;
@@ -475,68 +522,50 @@ fn push_boundary(session: &mut DebugSession) {
     tape.entries.push(entry);
 }
 
-/// The full session state a tape snapshot holds: the bench plus the
-/// session-level bookkeeping (breakpoint list, guard thresholds).
-struct SessionState {
-    sys: SystemState,
-    breakpoints: Vec<(u8, Option<f64>)>,
-    guards: Vec<f64>,
-}
+/// The full session state a tape snapshot holds: the bench. It encodes
+/// as a map of the bench (`sys`) and, under their own keys, the
+/// debugger's code breakpoints and energy-guard thresholds, read from
+/// the bench's [`Edb`] at encode time. Restore reads only
+/// `sys`, which carries the debugger; [`verify`] re-encodes live state,
+/// so a tampered list is still caught.
+struct SessionState(SystemState);
 
 impl Serialize for SessionState {
     fn serialize(&self, sink: &mut dyn Sink) {
+        let edb = self.0.edb();
         sink.map(3);
         sink.str("sys");
-        self.sys.serialize(sink);
+        self.0.serialize(sink);
         sink.str("breakpoints");
-        self.breakpoints.serialize(sink);
+        edb.map_or_else(Vec::new, Edb::code_breakpoints)
+            .serialize(sink);
         sink.str("guards");
-        self.guards.serialize(sink);
-    }
-}
-
-impl Deserialize for SessionState {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| DeError::new(format!("session snapshot missing `{name}`")))
-        };
-        Ok(SessionState {
-            sys: SystemState::from_value(field("sys")?)?,
-            breakpoints: Deserialize::from_value(field("breakpoints")?)?,
-            guards: Deserialize::from_value(field("guards")?)?,
-        })
+        edb.map_or_else(Vec::new, Edb::energy_thresholds)
+            .serialize(sink);
     }
 }
 
 /// The session's full state, or `None` for worlds that cannot snapshot.
 fn snapshot_state(session: &DebugSession) -> Option<SessionState> {
-    Some(SessionState {
-        sys: session.system().snapshot()?,
-        breakpoints: session.breakpoints(),
-        guards: session.energy_guards().to_vec(),
-    })
+    session.system().snapshot().map(SessionState)
 }
 
 /// Restores a snapshot entry's state: shared typed state from a live
 /// tape, or a tree decoded from recording bytes.
 fn restore_snapshot(session: &mut DebugSession, state: &SnapshotState) -> Result<(), DeError> {
-    let decoded;
-    let state = match state {
-        SnapshotState::Decoded(v) => {
-            decoded = SessionState::from_value(v)?;
-            &decoded
-        }
-        SnapshotState::Shared(_) => state
-            .downcast::<SessionState>()
-            .ok_or_else(|| DeError::new("snapshot holds state of another recorder"))?,
-    };
-    session.system_mut().restore(&state.sys)?;
-    session.restore_bookkeeping(
-        state.breakpoints.iter().copied().collect(),
-        state.guards.clone(),
-    );
-    Ok(())
+    let sys = session.system_mut();
+    match state {
+        SnapshotState::Decoded(v) => sys.restore_state(
+            v.get_field("sys")
+                .ok_or_else(|| DeError::new("session snapshot missing `sys`"))?,
+        ),
+        SnapshotState::Shared(_) => sys.restore(
+            &state
+                .downcast::<SessionState>()
+                .ok_or_else(|| DeError::new("snapshot holds state of another recorder"))?
+                .0,
+        ),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1412,6 +1441,51 @@ mod tests {
                 .any(|e| e.at == stop && e.event.tag() == "assert"),
             "assert event present at the landing time"
         );
+    }
+
+    #[test]
+    fn breakpoints_follow_time_travel() {
+        for stride in [1, 2, 64] {
+            let mut s = SessionSpec::bench(ASSERT_APP)
+                .record(stride)
+                .expect("builds");
+            assert!(s.run_until_session(SimTime::from_secs(2)));
+            let mask_addr = s.symbol(crate::libedb::BKPT_MASK_SYMBOL).expect("libEDB");
+            let mask = |s: &DebugSession| s.system().device().mem().peek_word(mask_addr);
+            let mask_before = mask(&s);
+            s.advance(SimTime::from_ms(2));
+            let calls = s.now();
+            s.set_breakpoint(1, Some(2.0)).unwrap();
+            s.arm_energy_guard(1.9).unwrap();
+            let mask_set = mask(&s);
+            assert_ne!(mask_set, mask_before, "stride {stride}: mask written");
+            s.advance(SimTime::from_ms(10));
+
+            // Back to a point past the calls: restored and re-executed
+            // state carries them.
+            let past = calls + SimTime::from_ms(5);
+            assert_eq!(s.goto_time(past), Ok(past), "stride {stride}");
+            assert_eq!(s.breakpoints(), vec![(1, Some(2.0))], "stride {stride}");
+            assert_eq!(s.energy_guards(), vec![1.9], "stride {stride}");
+            assert_eq!(mask(&s), mask_set, "stride {stride}");
+
+            // A millisecond before the calls: all three are gone.
+            let cycle_ns = (1e9 / s.system().device().config().clock_hz).round() as u64;
+            let back_ns = (s.now() - calls).as_ns() + 1_000_000;
+            let landed = s.step_back(back_ns / cycle_ns).expect("steps back");
+            assert!(landed < calls, "stride {stride}: {landed:?} !< {calls:?}");
+            assert!(s.breakpoints().is_empty(), "stride {stride}");
+            assert!(s.energy_guards().is_empty(), "stride {stride}");
+            assert_eq!(mask(&s), mask_before, "stride {stride}");
+
+            // Travelling back truncated the tape, so the new timeline
+            // runs past the old call times without them.
+            assert_eq!(s.goto_time(past), Ok(past), "stride {stride}");
+            assert!(s.breakpoints().is_empty(), "stride {stride}");
+            assert_eq!(mask(&s), mask_before, "stride {stride}");
+            let rec = s.stop_recording().expect("recording");
+            verify(&rec).unwrap_or_else(|e| panic!("stride {stride}: {e}"));
+        }
     }
 
     #[test]

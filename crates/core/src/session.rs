@@ -10,21 +10,23 @@
 //! here is synchronous, deterministic, and steppable, so a scripted
 //! session replays bit-identically.
 //!
-//! [`SessionBuilder`] mirrors [`SystemBuilder`] one level up: it gathers
-//! the *session* knobs — command deadlines, retry budget, channel-fault
-//! injection, firmware — in one place and assembles the bench in a
-//! fixed order, so two sessions built from equal specs behave
-//! identically.
+//! One type describes a session: [`SessionSpec`](crate::SessionSpec)
+//! (device, energy world, seed, debugger config, channel faults,
+//! checkpoint strategy, firmware) builds the bench through
+//! [`SystemBuilder`](crate::SystemBuilder) in a fixed order, so two sessions built from equal specs behave
+//! identically, and the same spec rides in every recording. As on the
+//! paper's board, the debugger ([`Edb`]) holds the breakpoint and
+//! energy-guard state and writes the enable mask into the target; the
+//! session only reads it back. Every recorded call goes through one
+//! wrapper that puts the op on the tape and marks its boundary.
 
-use crate::debugger::{DebugRequest, DebugResponse, EdbConfig, RequestId, SessionPoll};
+use crate::debugger::{DebugRequest, DebugResponse, Edb, RequestId, SessionPoll};
 use crate::error::EdbError;
 use crate::events::LoggedEvent;
-use crate::system::{System, SystemBuilder};
-use crate::wiring::ChannelFaultConfig;
-use edb_device::DeviceConfig;
-use edb_energy::{Harvester, SimTime, TheveninSource};
+use crate::replay::SessionOp;
+use crate::system::System;
+use edb_energy::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A point-in-time snapshot of everything a frontend shows about a
 /// session. All fields are ground-truth simulation state (the snapshot
@@ -53,219 +55,6 @@ pub struct SessionStatus {
     pub pc: u16,
 }
 
-/// Builder for a [`DebugSession`] — the session-level mirror of
-/// [`SystemBuilder`].
-///
-/// Where `SystemBuilder` assembles the electrical bench (device, world,
-/// debugger attachment), `SessionBuilder` collects the knobs a debugging
-/// *session* cares about — per-command deadline, retry budget,
-/// channel-fault injection, the firmware to flash — and applies them in
-/// one place. Defaults are the paper-prototype configuration over a
-/// stiff Thévenin bench supply.
-///
-/// # Example
-///
-/// ```
-/// use edb_core::SessionBuilder;
-/// use edb_energy::SimTime;
-///
-/// let session = SessionBuilder::new()
-///     .deadline(SimTime::from_ms(5))
-///     .retries(3)
-///     .firmware(
-///         r#"
-///         .org 0x4400
-///     main:
-///         movi sp, 0x2400
-///     loop:
-///         movi r0, 1
-///         call __edb_assert_fail
-///         jmp  loop
-///         .org 0xFFFE
-///         .word main
-///         "#,
-///     )
-///     .build()
-///     .expect("firmware assembles");
-/// assert!(!session.status().session_active);
-/// ```
-pub struct SessionBuilder {
-    device: DeviceConfig,
-    harvester: Option<Box<dyn Harvester>>,
-    rfid_distance: Option<f64>,
-    seed: u64,
-    edb_config: EdbConfig,
-    channel_fault: Option<ChannelFaultConfig>,
-    source: Option<String>,
-    image: Option<edb_mcu::Image>,
-    ckpt: Option<edb_runtime::ckpt::CkptConfig>,
-}
-
-impl std::fmt::Debug for SessionBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionBuilder")
-            .field("seed", &self.seed)
-            .field(
-                "has_firmware",
-                &(self.source.is_some() || self.image.is_some()),
-            )
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for SessionBuilder {
-    fn default() -> Self {
-        SessionBuilder::new()
-    }
-}
-
-impl SessionBuilder {
-    /// Starts a session spec with the defaults: a WISP-class target on a
-    /// stiff Thévenin bench supply, EDB attached with the prototype
-    /// configuration, a quiet channel, and no firmware.
-    pub fn new() -> Self {
-        SessionBuilder {
-            device: DeviceConfig::wisp5(),
-            harvester: None,
-            rfid_distance: None,
-            seed: 0,
-            edb_config: EdbConfig::prototype(),
-            channel_fault: None,
-            source: None,
-            image: None,
-            ckpt: None,
-        }
-    }
-
-    /// Attaches a host-side checkpoint engine from the strategy zoo
-    /// (see [`SystemBuilder::with_checkpoint_strategy`]). Recorded
-    /// sessions carry this in their spec so replays race the same
-    /// strategy.
-    pub fn with_checkpoint_strategy(mut self, config: edb_runtime::ckpt::CkptConfig) -> Self {
-        self.ckpt = Some(config);
-        self
-    }
-
-    /// Overrides the target device configuration.
-    pub fn device(mut self, config: DeviceConfig) -> Self {
-        self.device = config;
-        self
-    }
-
-    /// Powers the target from a plain harvester instead of the default
-    /// bench supply.
-    pub fn harvester(mut self, harvester: impl Harvester + 'static) -> Self {
-        self.harvester = Some(Box::new(harvester));
-        self.rfid_distance = None;
-        self
-    }
-
-    /// Powers the target from an RFID reader's carrier at `distance_m`
-    /// metres — the paper's experimental setup.
-    pub fn rfid(mut self, distance_m: f64) -> Self {
-        self.rfid_distance = Some(distance_m);
-        self.harvester = None;
-        self
-    }
-
-    /// Seeds every stochastic element of the bench (ADC noise, retry
-    /// backoff, RF channel).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the whole debugger configuration at once. The granular
-    /// setters ([`deadline`](SessionBuilder::deadline),
-    /// [`retries`](SessionBuilder::retries), …) edit this same config.
-    pub fn edb_config(mut self, config: EdbConfig) -> Self {
-        self.edb_config = config;
-        self
-    }
-
-    /// Per-attempt sim-time deadline for a framed debug command.
-    pub fn deadline(mut self, timeout: SimTime) -> Self {
-        self.edb_config.cmd_timeout = timeout;
-        self
-    }
-
-    /// Bounded re-sends after a command's first attempt.
-    pub fn retries(mut self, retries: u32) -> Self {
-        self.edb_config.cmd_retries = retries;
-        self
-    }
-
-    /// Minimum backoff before a re-send (the torn-reply flush window).
-    pub fn retry_flush(mut self, flush: SimTime) -> Self {
-        self.edb_config.retry_flush = flush;
-        self
-    }
-
-    /// Injects noise (bit flips, drops, duplicates) on both directions
-    /// of the debug UART.
-    pub fn channel_fault(mut self, config: ChannelFaultConfig) -> Self {
-        self.channel_fault = Some(config);
-        self
-    }
-
-    /// Flashes firmware from assembly source. The source is wrapped
-    /// with the `libEDB` runtime ([`crate::libedb::wrap_program`]) and
-    /// assembled at [`build`](SessionBuilder::build) time.
-    pub fn firmware(mut self, source: &str) -> Self {
-        self.source = Some(source.to_string());
-        self.image = None;
-        self
-    }
-
-    /// Flashes an already-assembled image (no `libEDB` wrapping).
-    pub fn image(mut self, image: edb_mcu::Image) -> Self {
-        self.image = Some(image);
-        self.source = None;
-        self
-    }
-
-    /// Assembles the firmware (if given as source), stands up the bench,
-    /// and flashes the target. Assembly failures surface as
-    /// [`EdbError::Device`].
-    pub fn build(self) -> Result<DebugSession, EdbError> {
-        let image = match (self.image, self.source) {
-            (Some(image), _) => Some(image),
-            (None, Some(source)) => Some(
-                edb_mcu::asm::assemble(&crate::libedb::wrap_program(&source)).map_err(|e| {
-                    EdbError::Device {
-                        detail: format!("firmware does not assemble: {e}"),
-                    }
-                })?,
-            ),
-            (None, None) => None,
-        };
-        let mut builder = SystemBuilder::new(self.device)
-            .seed(self.seed)
-            .edb_config(self.edb_config);
-        builder = match (self.harvester, self.rfid_distance) {
-            (Some(h), _) => builder.harvester(h),
-            (None, Some(d)) => builder.rfid(d),
-            (None, None) => builder.harvester(TheveninSource::new(3.2, 1500.0)),
-        };
-        if let Some(fault) = self.channel_fault {
-            builder = builder.channel_fault(fault);
-        }
-        if let Some(ckpt) = self.ckpt {
-            builder = builder.with_checkpoint_strategy(ckpt);
-        }
-        let mut sys = builder.build();
-        if let Some(image) = &image {
-            sys.flash(image);
-        }
-        Ok(DebugSession {
-            sys,
-            breakpoints: BTreeMap::new(),
-            energy_guards: Vec::new(),
-            tape: None,
-        })
-    }
-}
-
 /// One hosted debugging session: a simulated target with EDB attached,
 /// driven through the typed engine API.
 ///
@@ -273,23 +62,29 @@ impl SessionBuilder {
 /// perform typed requests, advance simulated time, manage breakpoints,
 /// and read back events and status. Time only advances through the
 /// explicit stepping methods, so a caller replaying the same calls gets
-/// the same bytes.
+/// the same bytes. Build one from a [`SessionSpec`](crate::SessionSpec).
 #[derive(Debug)]
 pub struct DebugSession {
     sys: System,
-    /// Code breakpoints this session enabled: ID → optional energy
-    /// threshold (a combined breakpoint).
-    breakpoints: BTreeMap<u8, Option<f64>>,
-    /// Energy-guard thresholds armed through this session, volts.
-    energy_guards: Vec<f64>,
     /// The active recording, when one is (see [`crate::replay`]).
     pub(crate) tape: Option<crate::replay::Tape>,
 }
 
 impl DebugSession {
-    /// Starts a session spec (see [`SessionBuilder`]).
-    pub fn builder() -> SessionBuilder {
-        SessionBuilder::new()
+    /// Wraps a flashed bench, not yet recording.
+    pub(crate) fn new(sys: System) -> Self {
+        DebugSession { sys, tape: None }
+    }
+
+    /// Runs one session call on the bench, recording it: the op goes on
+    /// the tape (stamped with the pre-call time) before `body` runs, and
+    /// the op boundary is marked after. Both are no-ops when the session
+    /// is not recording.
+    fn recorded<R>(&mut self, op: SessionOp, body: impl FnOnce(&mut System) -> R) -> R {
+        crate::replay::tape_op(self, &op);
+        let result = body(&mut self.sys);
+        crate::replay::tape_boundary(self);
+        result
     }
 
     /// The underlying bench, for observational access.
@@ -313,170 +108,115 @@ impl DebugSession {
     /// [`advance`](DebugSession::advance)) with
     /// [`poll`](DebugSession::poll) until the request resolves.
     pub fn submit(&mut self, request: DebugRequest) -> Result<RequestId, EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::Submit { request });
-        let result = (|| {
+        self.recorded(SessionOp::Submit { request }, |sys| {
             let op = request.name();
-            let Some(edb) = self.sys.edb() else {
-                return Err(EdbError::NotAttached { op });
-            };
+            let now = sys.now();
+            let (edb, dev) = sys.edb_and_device().ok_or(EdbError::NotAttached { op })?;
             if !edb.session_active() {
                 return Err(EdbError::NoSession { op });
             }
-            let now = self.sys.now();
-            let (edb, dev) = self.sys.edb_and_device().expect("attached");
             Ok(edb.submit(dev, request, now))
-        })();
-        crate::replay::tape_boundary(self);
-        result
+        })
     }
 
     /// Polls a submitted request. Does not advance time.
     pub fn poll(&mut self, id: RequestId) -> SessionPoll<DebugResponse> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::Poll { id });
-        let result = match self.sys.edb() {
-            Some(_) => self.sys.edb_mut().poll(id),
-            None => SessionPoll::Superseded,
-        };
-        crate::replay::tape_boundary(self);
-        result
+        self.recorded(SessionOp::Poll { id }, |sys| {
+            sys.edb_and_device()
+                .map_or(SessionPoll::Superseded, |(edb, _)| edb.poll(id))
+        })
     }
 
     /// One complete typed exchange: submit, then drive the bench until
     /// the state machine reports a typed response or a typed abort.
     pub fn perform(&mut self, request: DebugRequest) -> Result<DebugResponse, EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::Perform { request });
-        let result = self.sys.perform(request);
-        crate::replay::tape_boundary(self);
-        result
+        self.recorded(SessionOp::Perform { request }, |sys| sys.perform(request))
     }
 
     /// Advances the simulation by one device step.
     pub fn step(&mut self) {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::Step { n: 1 });
-        self.sys.step();
-        crate::replay::tape_boundary(self);
+        self.recorded(SessionOp::Step { n: 1 }, System::step);
     }
 
     /// Advances the simulation by `duration`.
     pub fn advance(&mut self, duration: SimTime) {
-        crate::replay::tape_op(
-            self,
-            &crate::replay::SessionOp::Advance {
-                ns: duration.as_ns(),
-            },
-        );
-        self.sys.run_for(duration);
-        crate::replay::tape_boundary(self);
+        let op = SessionOp::Advance {
+            ns: duration.as_ns(),
+        };
+        self.recorded(op, |sys| sys.run_for(duration))
     }
 
     /// Runs until an interactive session opens, up to `timeout`.
     /// Returns whether one is open.
     pub fn run_until_session(&mut self, timeout: SimTime) -> bool {
-        crate::replay::tape_op(
-            self,
-            &crate::replay::SessionOp::RunUntilSession {
-                timeout_ns: timeout.as_ns(),
-            },
-        );
-        let result = self.sys.wait_for_session(timeout);
-        crate::replay::tape_boundary(self);
-        result
+        let op = SessionOp::RunUntilSession {
+            timeout_ns: timeout.as_ns(),
+        };
+        self.recorded(op, |sys| sys.wait_for_session(timeout))
     }
 
     /// Resumes the target from an open session (restore energy, release
     /// the service loop) and waits for the session to close.
     pub fn resume(&mut self) -> Result<(), EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::Resume);
-        let result = self.sys.resume();
-        crate::replay::tape_boundary(self);
-        result
+        self.recorded(SessionOp::Resume, System::resume)
     }
 
     /// Charges the target to `volts` and waits for convergence.
     pub fn charge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::ChargeTo { volts });
-        let result = self.sys.charge_to(volts);
-        crate::replay::tape_boundary(self);
-        result
+        self.recorded(SessionOp::ChargeTo { volts }, |sys| sys.charge_to(volts))
     }
 
     /// Discharges the target to `volts` and waits for convergence.
     pub fn discharge_to(&mut self, volts: f64) -> Result<f64, EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::DischargeTo { volts });
-        let result = self.sys.discharge_to(volts);
-        crate::replay::tape_boundary(self);
-        result
+        self.recorded(SessionOp::DischargeTo { volts }, |sys| {
+            sys.discharge_to(volts)
+        })
     }
 
     /// Enables a code breakpoint, optionally conditioned on the energy
     /// level (a combined breakpoint).
     pub fn set_breakpoint(&mut self, id: u8, energy: Option<f64>) -> Result<(), EdbError> {
-        crate::replay::tape_op(
-            self,
-            &crate::replay::SessionOp::SetBreakpoint { id, energy },
-        );
-        let result = (|| {
-            let Some((edb, dev)) = self.sys.edb_and_device() else {
-                return Err(EdbError::NotAttached {
-                    op: "set_breakpoint",
-                });
-            };
+        self.recorded(SessionOp::SetBreakpoint { id, energy }, |sys| {
+            let (edb, dev) = sys.edb_and_device().ok_or(EdbError::NotAttached {
+                op: "set_breakpoint",
+            })?;
             edb.enable_breakpoint(dev, id, energy);
-            self.breakpoints.insert(id, energy);
             Ok(())
-        })();
-        crate::replay::tape_boundary(self);
-        result
+        })
     }
 
     /// Disables a code breakpoint.
     pub fn clear_breakpoint(&mut self, id: u8) -> Result<(), EdbError> {
-        crate::replay::tape_op(self, &crate::replay::SessionOp::ClearBreakpoint { id });
-        let result = (|| {
-            let Some((edb, dev)) = self.sys.edb_and_device() else {
-                return Err(EdbError::NotAttached {
-                    op: "clear_breakpoint",
-                });
-            };
+        self.recorded(SessionOp::ClearBreakpoint { id }, |sys| {
+            let (edb, dev) = sys.edb_and_device().ok_or(EdbError::NotAttached {
+                op: "clear_breakpoint",
+            })?;
             edb.disable_breakpoint(dev, id);
-            self.breakpoints.remove(&id);
             Ok(())
-        })();
-        crate::replay::tape_boundary(self);
-        result
+        })
     }
 
-    /// The code breakpoints this session enabled: `(id, energy)` pairs
-    /// in ID order.
+    /// The debugger's enabled code breakpoints: `(id, energy)` pairs in
+    /// ID order.
     pub fn breakpoints(&self) -> Vec<(u8, Option<f64>)> {
-        self.breakpoints.iter().map(|(&id, &e)| (id, e)).collect()
+        self.sys.edb().map_or_else(Vec::new, Edb::code_breakpoints)
     }
 
     /// Arms an energy breakpoint at `threshold` volts (the energy
     /// guard of the console's `break energy` command).
     pub fn arm_energy_guard(&mut self, threshold: f64) -> Result<(), EdbError> {
-        crate::replay::tape_op(
-            self,
-            &crate::replay::SessionOp::ArmEnergyGuard { volts: threshold },
-        );
-        let result = (|| {
-            if self.sys.edb().is_none() {
-                return Err(EdbError::NotAttached {
-                    op: "arm_energy_guard",
-                });
-            }
-            self.sys.edb_mut().arm_energy_breakpoint(threshold);
-            self.energy_guards.push(threshold);
+        self.recorded(SessionOp::ArmEnergyGuard { volts: threshold }, |sys| {
+            let (edb, _) = sys.edb_and_device().ok_or(EdbError::NotAttached {
+                op: "arm_energy_guard",
+            })?;
+            edb.arm_energy_breakpoint(threshold);
             Ok(())
-        })();
-        crate::replay::tape_boundary(self);
-        result
+        })
     }
 
-    /// The energy-guard thresholds armed through this session, volts,
-    /// in arming order.
-    pub fn energy_guards(&self) -> &[f64] {
-        &self.energy_guards
+    /// The debugger's energy-guard thresholds, volts, in arming order.
+    pub fn energy_guards(&self) -> Vec<f64> {
+        self.sys.edb().map_or_else(Vec::new, Edb::energy_thresholds)
     }
 
     /// Every event the debugger has logged so far. Frontends keep their
@@ -504,18 +244,6 @@ impl DebugSession {
             in_guard: edb.is_some_and(|e| e.in_guard()),
             pc: dev.cpu().pc,
         }
-    }
-
-    /// Overwrites the session-level bookkeeping (breakpoint list, guard
-    /// thresholds) when a snapshot restore rewinds the bench underneath
-    /// it (see [`crate::replay`]).
-    pub(crate) fn restore_bookkeeping(
-        &mut self,
-        breakpoints: BTreeMap<u8, Option<f64>>,
-        energy_guards: Vec<f64>,
-    ) {
-        self.breakpoints = breakpoints;
-        self.energy_guards = energy_guards;
     }
 
     /// Resolves a symbol from the flashed image.
@@ -563,6 +291,12 @@ impl DebugSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{HarvesterSpec, SessionSpec, WorldSpec};
+    use crate::system::SystemBuilder;
+    use crate::wiring::ChannelFaultConfig;
+    use edb_device::DeviceConfig;
+    use edb_energy::{ConstantCurrent, Fading, SolarHarvester, TheveninSource, TraceHarvester};
+    use edb_runtime::ckpt::{CkptConfig, StrategyKind};
 
     const ASSERT_APP: &str = r#"
         .org 0x4400
@@ -579,12 +313,21 @@ mod tests {
         .word main
         "#;
 
+    /// The default bench on a stiffer (220 Ω) supply.
+    fn stiff_spec() -> SessionSpec {
+        SessionSpec {
+            world: WorldSpec::Harvester {
+                spec: HarvesterSpec::Thevenin {
+                    v_oc: 3.2,
+                    r_src: 220.0,
+                },
+            },
+            ..SessionSpec::bench(ASSERT_APP)
+        }
+    }
+
     fn open_session() -> DebugSession {
-        let mut s = SessionBuilder::new()
-            .harvester(TheveninSource::new(3.2, 220.0))
-            .firmware(ASSERT_APP)
-            .build()
-            .expect("firmware assembles");
+        let mut s = stiff_spec().build().expect("firmware assembles");
         assert!(s.run_until_session(SimTime::from_secs(2)));
         s
     }
@@ -633,10 +376,7 @@ mod tests {
 
     #[test]
     fn submit_without_a_session_is_a_typed_error() {
-        let mut s = SessionBuilder::new()
-            .firmware(ASSERT_APP)
-            .build()
-            .expect("assembles");
+        let mut s = SessionSpec::bench(ASSERT_APP).build().expect("assembles");
         assert_eq!(
             s.submit(DebugRequest::GetPc),
             Err(EdbError::NoSession { op: "GET_PC" })
@@ -661,33 +401,99 @@ mod tests {
         assert_eq!(s.breakpoints(), vec![(1, Some(2.1)), (3, None)]);
         s.clear_breakpoint(3).unwrap();
         assert_eq!(s.breakpoints(), vec![(1, Some(2.1))]);
-    }
-
-    #[test]
-    fn builder_deadline_and_retries_land_in_the_edb_config() {
-        let s = SessionBuilder::new()
-            .deadline(SimTime::from_ms(2))
-            .retries(7)
-            .build()
-            .expect("builds");
-        let config = s.system().edb().expect("attached").config();
-        assert_eq!(config.cmd_timeout, SimTime::from_ms(2));
-        assert_eq!(config.cmd_retries, 7);
+        s.arm_energy_guard(2.2).unwrap();
+        s.arm_energy_guard(1.9).unwrap();
+        assert_eq!(s.energy_guards(), vec![2.2, 1.9]);
     }
 
     #[test]
     fn equal_specs_build_equal_sessions() {
         let run = || {
-            let mut s = SessionBuilder::new()
-                .harvester(TheveninSource::new(3.2, 220.0))
-                .seed(9)
-                .firmware(ASSERT_APP)
-                .build()
-                .expect("assembles");
+            let mut s = SessionSpec {
+                seed: 9,
+                ..stiff_spec()
+            }
+            .build()
+            .expect("assembles");
             assert!(s.run_until_session(SimTime::from_secs(2)));
             let pc = s.perform(DebugRequest::GetPc);
             (s.now(), s.status(), pc)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn spec_built_sessions_equal_hand_built_benches() {
+        let harvester = |spec| WorldSpec::Harvester { spec };
+        let samples = vec![(SimTime::ZERO, 3.0), (SimTime::from_ms(60), 2.4)];
+        let hand = || SystemBuilder::new(DeviceConfig::wisp5()).seed(3);
+        let fault = ChannelFaultConfig::noisy(2);
+        let ckpt = CkptConfig::new(StrategyKind::Differential);
+        let cases = [
+            (
+                harvester(HarvesterSpec::Constant { amps: 1e-3 }),
+                hand().harvester(ConstantCurrent::new(1e-3)),
+            ),
+            (
+                harvester(HarvesterSpec::Thevenin {
+                    v_oc: 3.2,
+                    r_src: 1500.0,
+                }),
+                hand().harvester(TheveninSource::new(3.2, 1500.0)),
+            ),
+            (
+                harvester(HarvesterSpec::Solar {
+                    v_oc_peak: 3.0,
+                    r_src: 800.0,
+                    period_s: 0.05,
+                    seed: 4,
+                }),
+                hand().harvester(SolarHarvester::new(3.0, 800.0, 0.05, 4)),
+            ),
+            (
+                harvester(HarvesterSpec::harvested(9)),
+                hand().harvester(Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, 9)),
+            ),
+            (
+                harvester(HarvesterSpec::Trace {
+                    samples: samples.clone(),
+                    r_src: 1000.0,
+                }),
+                hand().harvester(TraceHarvester::new(samples, 1000.0)),
+            ),
+            (WorldSpec::Rfid { distance_m: 1.5 }, hand().rfid(1.5)),
+        ];
+        let image = edb_mcu::asm::assemble(&crate::libedb::wrap_program(ASSERT_APP)).unwrap();
+        let mut digests = Vec::new();
+        for (k, (world, hand_built)) in cases.into_iter().enumerate() {
+            // The last two worlds also carry a checkpoint engine and a
+            // noisy debug UART, so both knobs are checked too.
+            let extras = k >= 4;
+            let spec = SessionSpec {
+                world,
+                seed: 3,
+                channel_fault: extras.then_some(fault),
+                ckpt: extras.then_some(ckpt),
+                ..SessionSpec::bench(ASSERT_APP)
+            };
+            let mut session = spec.build().expect("builds");
+            let mut sys = if extras {
+                hand_built
+                    .channel_fault(fault)
+                    .with_checkpoint_strategy(ckpt)
+            } else {
+                hand_built
+            }
+            .build();
+            sys.flash(&image);
+            session.advance(SimTime::from_ms(120));
+            sys.run_for(SimTime::from_ms(120));
+            let digest = session.system().state_digest();
+            assert_eq!(digest, sys.state_digest(), "{:?}", spec.world);
+            digests.push(digest);
+        }
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), 6, "every world runs differently");
     }
 }

@@ -1194,6 +1194,11 @@ pub struct SystemState {
 }
 
 impl SystemState {
+    /// The debugger's state, if one was attached.
+    pub fn edb(&self) -> Option<&Edb> {
+        self.edb.as_ref()
+    }
+
     fn view(&self) -> StateView<'_> {
         StateView {
             device: &self.device,

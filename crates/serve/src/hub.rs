@@ -714,9 +714,9 @@ impl SessionHub {
     }
 
     fn create(&self, conn: &mut ConnState, p: &Value) -> MethodResult {
-        // Sessions are described by a rebuildable `SessionSpec` (not a
-        // bare builder) so the hub can record them: the spec is embedded
-        // in the tape and the recording replays in a fresh process.
+        // A session is built from its rebuildable `SessionSpec`, so the
+        // hub can record it: the spec is embedded in the tape and the
+        // recording replays in a fresh process.
         let source = match (param::<&str>(p, "firmware")?, param(p, "source")?) {
             (Some(preset), _) => FIRMWARE_PRESETS
                 .iter()

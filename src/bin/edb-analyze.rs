@@ -6,7 +6,6 @@
 //! ```text
 //! edb-analyze <source.s>            analyze an assembly file
 //! edb-analyze --app <name>          analyze a bundled app
-//!                                   (fib|linked-list|activity|rfid)
 //! edb-analyze --list-apps           list bundled app names
 //!
 //! Options:
@@ -22,22 +21,22 @@
 use std::process::ExitCode;
 
 use edb_analyze::analyze_image;
+use edb_apps::{activity, fib, linked_list, rfid_fw};
 use edb_device::DeviceConfig;
 use edb_mcu::asm::assemble;
 use edb_mcu::Image;
 
-const APPS: &[&str] = &["fib", "linked-list", "activity", "rfid"];
+/// A bundled app `--app` analyzes: its name and image builder.
+type App = (&'static str, fn() -> Image);
 
-fn app_image(name: &str) -> Option<Image> {
-    use edb_apps::{activity, fib, linked_list, rfid_fw};
-    match name {
-        "fib" => Some(fib::image(fib::Variant::Release)),
-        "linked-list" => Some(linked_list::image(linked_list::Variant::Plain)),
-        "activity" => Some(activity::image(activity::Variant::NoPrint)),
-        "rfid" => Some(rfid_fw::image()),
-        _ => None,
-    }
-}
+const APPS: &[App] = &[
+    ("fib", || fib::image(fib::Variant::Release)),
+    ("linked-list", || {
+        linked_list::image(linked_list::Variant::Plain)
+    }),
+    ("activity", || activity::image(activity::Variant::NoPrint)),
+    ("rfid", rfid_fw::image),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,14 +49,18 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--list-apps" => {
-                for name in APPS {
+                for (name, _) in APPS {
                     println!("{name}");
                 }
                 return ExitCode::SUCCESS;
             }
             "--app" => {
                 i += 1;
-                app = args.get(i).cloned();
+                let Some(name) = args.get(i) else {
+                    eprintln!("edb-analyze: --app needs an app name");
+                    return ExitCode::FAILURE;
+                };
+                app = Some(name.clone());
             }
             "--v-start" => {
                 i += 1;
@@ -72,7 +75,11 @@ fn main() -> ExitCode {
             "--pretty" => pretty = true,
             "--out" => {
                 i += 1;
-                out = args.get(i).cloned();
+                let Some(path) = args.get(i) else {
+                    eprintln!("edb-analyze: --out needs a path");
+                    return ExitCode::FAILURE;
+                };
+                out = Some(path.clone());
             }
             other if !other.starts_with('-') => target = Some(other.to_string()),
             other => {
@@ -84,12 +91,13 @@ fn main() -> ExitCode {
     }
 
     let (name, image) = if let Some(app_name) = app {
-        match app_image(&app_name) {
-            Some(image) => (app_name, image),
+        match APPS.iter().find(|(name, _)| *name == app_name) {
+            Some((_, image)) => (app_name, image()),
             None => {
+                let names: Vec<&str> = APPS.iter().map(|(name, _)| *name).collect();
                 eprintln!(
                     "edb-analyze: unknown app {app_name:?} (try one of: {})",
-                    APPS.join(", ")
+                    names.join(", ")
                 );
                 return ExitCode::FAILURE;
             }

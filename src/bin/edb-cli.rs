@@ -15,30 +15,54 @@ use edb_suite::core::{libedb, Console, System};
 use edb_suite::device::DeviceConfig;
 use edb_suite::energy::{Fading, SimTime, TheveninSource};
 use edb_suite::mcu::asm::assemble;
+use edb_suite::mcu::Image;
 use edb_suite::rfid::ReaderConfig;
 use std::io::{BufRead, Write};
 
-const APPS: &[(&str, &str)] = &[
-    ("spin", "a bare counting loop (default)"),
+/// A bundled target application: its name, a description, and the
+/// seeded bench that runs it.
+type App = (&'static str, &'static str, fn(u64) -> System);
+
+const APPS: &[App] = &[
+    ("spin", "a bare counting loop (default)", |seed| {
+        harvested(seed, spin_image())
+    }),
     (
         "linked-list",
         "the Figure 6 intermittence bug, uninstrumented",
+        |seed| harvested(seed, linked_list::image(linked_list::Variant::Plain)),
     ),
     (
         "linked-list-assert",
         "the same bug with the keep-alive assert",
+        |seed| harvested(seed, linked_list::image(linked_list::Variant::Assert)),
     ),
-    ("linked-list-atomic", "the DINO-style task-atomic fix"),
+    (
+        "linked-list-atomic",
+        "the DINO-style task-atomic fix",
+        |seed| harvested(seed, linked_list::image(linked_list::Variant::TaskAtomic)),
+    ),
     (
         "fib-checked",
         "Fibonacci list with the O(n) consistency check",
+        |seed| harvested(seed, fib::image(fib::Variant::Checked)),
     ),
-    ("fib-guarded", "the same check inside energy guards"),
-    ("activity", "activity recognition with EDB printf"),
-    ("rfid", "the WISP RFID firmware under a reader (RF world)"),
+    (
+        "fib-guarded",
+        "the same check inside energy guards",
+        |seed| harvested(seed, fib::image(fib::Variant::Guarded)),
+    ),
+    ("activity", "activity recognition with EDB printf", |seed| {
+        harvested(seed, activity::image(activity::Variant::EdbPrintf))
+    }),
+    (
+        "rfid",
+        "the WISP RFID firmware under a reader (RF world)",
+        rfid_bench,
+    ),
 ];
 
-fn spin_image() -> edb_suite::mcu::Image {
+fn spin_image() -> Image {
     assemble(&libedb::wrap_program(
         r#"
         .equ COUNTER, 0x6000
@@ -61,46 +85,54 @@ fn spin_image() -> edb_suite::mcu::Image {
     .expect("spin app assembles")
 }
 
-fn build_system(app: &str, seed: u64) -> Option<System> {
-    let harvested = || -> Box<dyn edb_suite::energy::Harvester> {
-        Box::new(Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed))
-    };
-    let mut sys = match app {
-        "rfid" => {
-            let device = DeviceConfig {
-                i_active: 0.95e-3,
-                ..DeviceConfig::wisp5()
-            };
-            let reader = ReaderConfig {
-                query_period: SimTime::from_ms(260),
-                rep_gap: SimTime::from_ms(65),
-                reps_per_round: 3,
-                ..ReaderConfig::paper_setup()
-            };
-            let mut sys = System::builder(device)
-                .rfid(1.0)
-                .reader_config(reader)
-                .seed(seed)
-                .build();
-            sys.flash(&rfid_fw::image());
-            return Some(sys);
-        }
-        _ => System::builder(DeviceConfig::wisp5())
-            .harvester(harvested())
-            .build(),
-    };
-    let image = match app {
-        "spin" => spin_image(),
-        "linked-list" => linked_list::image(linked_list::Variant::Plain),
-        "linked-list-assert" => linked_list::image(linked_list::Variant::Assert),
-        "linked-list-atomic" => linked_list::image(linked_list::Variant::TaskAtomic),
-        "fib-checked" => fib::image(fib::Variant::Checked),
-        "fib-guarded" => fib::image(fib::Variant::Guarded),
-        "activity" => activity::image(activity::Variant::EdbPrintf),
-        _ => return None,
-    };
+/// `image` flashed on the harvested supply.
+fn harvested(seed: u64, image: Image) -> System {
+    let mut sys = System::builder(DeviceConfig::wisp5())
+        .harvester(Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed))
+        .build();
     sys.flash(&image);
-    Some(sys)
+    sys
+}
+
+/// The WISP RFID firmware in the RF world, 1 m from a reader on a brisk
+/// inventory schedule.
+fn rfid_bench(seed: u64) -> System {
+    let device = DeviceConfig {
+        i_active: 0.95e-3,
+        ..DeviceConfig::wisp5()
+    };
+    let reader = ReaderConfig {
+        query_period: SimTime::from_ms(260),
+        rep_gap: SimTime::from_ms(65),
+        reps_per_round: 3,
+        ..ReaderConfig::paper_setup()
+    };
+    let mut sys = System::builder(device)
+        .rfid(1.0)
+        .reader_config(reader)
+        .seed(seed)
+        .build();
+    sys.flash(&rfid_fw::image());
+    sys
+}
+
+/// One `  name  description` line per bundled app.
+fn app_list() -> String {
+    APPS.iter()
+        .map(|(name, what, _)| format!("  {name:<20} {what}\n"))
+        .collect()
+}
+
+/// The value after flag `args[i]`; exits naming the flag when it is
+/// missing.
+fn flag_value(args: &[String], i: usize) -> &str {
+    match args.get(i + 1) {
+        Some(value) => value,
+        None => {
+            eprintln!("error: {} needs a value", args[i]);
+            std::process::exit(2);
+        }
+    }
 }
 
 fn main() {
@@ -111,23 +143,17 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--app" if i + 1 < args.len() => {
-                app = args[i + 1].clone();
-                i += 2;
-            }
-            "--script" if i + 1 < args.len() => {
-                script = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--seed" if i + 1 < args.len() => {
-                seed = args[i + 1].parse().unwrap_or(1);
-                i += 2;
+            "--app" => app = flag_value(&args, i).to_string(),
+            "--script" => script = Some(flag_value(&args, i).to_string()),
+            "--seed" => {
+                let value = flag_value(&args, i);
+                seed = value.parse().unwrap_or_else(|_| {
+                    eprintln!("error: --seed takes a number, got `{value}`");
+                    std::process::exit(2);
+                });
             }
             "--list" => {
-                println!("bundled target applications:");
-                for (name, what) in APPS {
-                    println!("  {name:<20} {what}");
-                }
+                print!("bundled target applications:\n{}", app_list());
                 return;
             }
             other => {
@@ -135,15 +161,14 @@ fn main() {
                 std::process::exit(2);
             }
         }
+        i += 2;
     }
 
-    let Some(mut sys) = build_system(&app, seed) else {
-        eprintln!("unknown app `{app}`; options:");
-        for (name, what) in APPS {
-            eprintln!("  {name:<20} {what}");
-        }
+    let Some((_, _, bench)) = APPS.iter().find(|(name, _, _)| *name == app) else {
+        eprint!("unknown app `{app}`; options:\n{}", app_list());
         std::process::exit(2);
     };
+    let mut sys = bench(seed);
     let mut console = Console::new();
 
     println!("edb-cli — energy-interference-free debugging of a simulated intermittent device");
