@@ -35,7 +35,7 @@ use crate::system::{SystemBuilder, SystemState};
 use crate::wiring::ChannelFaultConfig;
 use edb_device::DeviceConfig;
 use edb_energy::{
-    ConstantCurrent, Fading, Harvester, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
+    ConstantCurrent, Fading, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
 };
 pub use edb_replay::Recording;
 use edb_replay::{digest, CanonicalDigest, Entry, SnapshotState};
@@ -110,29 +110,33 @@ impl HarvesterSpec {
         }
     }
 
-    /// The harvester this spec describes, fresh at time zero.
-    fn build(&self) -> Box<dyn Harvester> {
+    /// Powers `builder` from the harvester this spec describes, fresh at
+    /// time zero. Each variant hands over its concrete type, so the bench
+    /// boxes it once.
+    fn power(&self, builder: SystemBuilder) -> SystemBuilder {
         match self {
-            HarvesterSpec::Constant { amps } => Box::new(ConstantCurrent::new(*amps)),
-            HarvesterSpec::Thevenin { v_oc, r_src } => Box::new(TheveninSource::new(*v_oc, *r_src)),
+            HarvesterSpec::Constant { amps } => builder.harvester(ConstantCurrent::new(*amps)),
+            HarvesterSpec::Thevenin { v_oc, r_src } => {
+                builder.harvester(TheveninSource::new(*v_oc, *r_src))
+            }
             HarvesterSpec::Solar {
                 v_oc_peak,
                 r_src,
                 period_s,
                 seed,
-            } => Box::new(SolarHarvester::new(*v_oc_peak, *r_src, *period_s, *seed)),
+            } => builder.harvester(SolarHarvester::new(*v_oc_peak, *r_src, *period_s, *seed)),
             HarvesterSpec::FadingThevenin {
                 v_oc,
                 r_src,
                 sigma,
                 seed,
-            } => Box::new(Fading::new(
+            } => builder.harvester(Fading::new(
                 TheveninSource::new(*v_oc, *r_src),
                 *sigma,
                 *seed,
             )),
             HarvesterSpec::Trace { samples, r_src } => {
-                Box::new(TraceHarvester::new(samples.clone(), *r_src))
+                builder.harvester(TraceHarvester::new(samples.clone(), *r_src))
             }
         }
     }
@@ -314,7 +318,7 @@ impl SessionSpec {
             .seed(self.seed)
             .edb_config(self.edb);
         builder = match &self.world {
-            WorldSpec::Harvester { spec } => builder.harvester(spec.build()),
+            WorldSpec::Harvester { spec } => spec.power(builder),
             WorldSpec::Rfid { distance_m } => builder.rfid(*distance_m),
         };
         if let Some(fault) = self.channel_fault {
@@ -412,6 +416,26 @@ pub enum SessionOp {
 }
 
 impl SessionOp {
+    /// This op as re-execution up to `target_ns` runs it when it began
+    /// at `now_ns`: a stepping op cut at the target (both are pure
+    /// stepping, so the cut prefix equals the whole op's), any other op
+    /// whole. `None` for a stepping op cut to nothing, which
+    /// re-execution skips.
+    fn cut_at(&self, now_ns: u64, target_ns: u64) -> Option<SessionOp> {
+        let left = target_ns.saturating_sub(now_ns);
+        match *self {
+            SessionOp::Advance { ns } => {
+                let ns = ns.min(left);
+                (ns > 0).then_some(SessionOp::Advance { ns })
+            }
+            SessionOp::RunUntilSession { timeout_ns } => {
+                let timeout_ns = timeout_ns.min(left);
+                (timeout_ns > 0).then_some(SessionOp::RunUntilSession { timeout_ns })
+            }
+            _ => Some(self.clone()),
+        }
+    }
+
     /// Re-executes this operation against `session`. Results and errors
     /// are discarded: determinism guarantees the same outcomes recur,
     /// and the divergence checker asserts it through state digests.
@@ -461,8 +485,18 @@ impl SessionOp {
 // The in-memory tape
 // ---------------------------------------------------------------------
 
+/// Simulated time between a live tape's keyframes, nanoseconds, until
+/// the [`KEYFRAME_CAP`] doubles it.
+pub const KEYFRAME_NS: u64 = 8_000_000;
+
+/// The most keyframes a live tape holds. When one more is taken, every
+/// other keyframe is dropped (counting back from the newest) and the
+/// spacing doubles, so a tape keeps at most this many, spread over the
+/// whole session.
+pub const KEYFRAME_CAP: usize = 8;
+
 /// The live recording attached to a [`DebugSession`]: entries in tape
-/// order plus the snapshot-stride counter.
+/// order, the snapshot-stride counter, and the in-memory keyframes.
 #[derive(Debug)]
 pub(crate) struct Tape {
     spec: Option<Value>,
@@ -470,6 +504,37 @@ pub(crate) struct Tape {
     start_ns: u64,
     entries: Vec<Entry>,
     ops_since_boundary: u64,
+    /// Restore points between the tape's snapshots, oldest first. They
+    /// only shorten time travel and never reach a [`Recording`].
+    keyframes: Vec<Keyframe>,
+    /// Simulated time between keyframes, nanoseconds.
+    keyframe_ns: u64,
+    /// When the latest restore point (tape snapshot or keyframe) was
+    /// taken; the next keyframe falls due `keyframe_ns` after it.
+    restore_ns: u64,
+}
+
+/// Bytes per FRAM page a keyframe can share with its predecessor.
+const KEYFRAME_PAGE: usize = 1024;
+
+/// An in-memory restore point: the session's typed state at `now_ns`
+/// and where the tape stood then.
+#[derive(Debug)]
+struct Keyframe {
+    now_ns: u64,
+    /// The state, its FRAM image moved out into `fram`.
+    state: Box<SessionState>,
+    /// The FRAM image in [`KEYFRAME_PAGE`]-byte pages, each shared with
+    /// the previous keyframe's page when their bytes are equal: between
+    /// two keyframes a program rewrites few of its 47 pages, and the
+    /// image is most of a snapshot's weight.
+    fram: Vec<Arc<[u8]>>,
+    /// Tape entries written before it. Taken inside a stepping op
+    /// (`mid_op`), the last of them is that op's entry.
+    entries: usize,
+    /// The stride counter; inside an op, before the op is counted.
+    ops_since_boundary: u64,
+    mid_op: bool,
 }
 
 /// Appends an `Op` entry for `op` (stamped with the *pre-execution*
@@ -489,15 +554,73 @@ pub(crate) fn tape_op(session: &mut DebugSession, op: &SessionOp) {
 /// appends a full-state snapshot (or a digest, for worlds that cannot
 /// serialize). Called by the session's recording wrapper after each
 /// recorded call.
+///
+/// Between snapshots, takes an op-boundary keyframe once the next
+/// keyframe instant has passed.
 pub(crate) fn tape_boundary(session: &mut DebugSession) {
     let Some(tape) = session.tape.as_mut() else {
         return;
     };
     tape.ops_since_boundary += 1;
-    if tape.ops_since_boundary < tape.stride {
+    if tape.ops_since_boundary >= tape.stride {
+        push_boundary(session);
+    } else if next_keyframe(session).is_some_and(|at| session.now() >= at) {
+        push_keyframe(session, false);
+    }
+}
+
+/// The instant the next keyframe falls due, or `None` when the session
+/// takes none: it is not recording, or its world cannot snapshot.
+pub(crate) fn next_keyframe(session: &DebugSession) -> Option<SimTime> {
+    let tape = session.tape.as_ref()?;
+    let at = tape.restore_ns.saturating_add(tape.keyframe_ns);
+    session
+        .system()
+        .supports_snapshots()
+        .then(|| SimTime::from_ns(at))
+}
+
+/// Takes a keyframe of the session as it stands: at an op boundary, or
+/// inside the stepping op whose entry is the tape's last (`mid_op`).
+/// Past [`KEYFRAME_CAP`], thins the keyframes and doubles the spacing.
+pub(crate) fn push_keyframe(session: &mut DebugSession, mid_op: bool) {
+    if session.tape.is_none() {
         return;
     }
-    push_boundary(session);
+    let Some(mut state) = snapshot_state(session) else {
+        return;
+    };
+    let image = state.0.mem_mut().replace_fram(Vec::new());
+    let now_ns = session.now().as_ns();
+    let tape = session.tape.as_mut().expect("checked above");
+    let prev = tape.keyframes.last().map_or(&[][..], |kf| &kf.fram[..]);
+    let fram = image
+        .chunks(KEYFRAME_PAGE)
+        .enumerate()
+        .map(|(i, page)| match prev.get(i) {
+            Some(shared) if **shared == *page => Arc::clone(shared),
+            _ => Arc::from(page),
+        })
+        .collect();
+    tape.keyframes.push(Keyframe {
+        now_ns,
+        state: Box::new(state),
+        fram,
+        entries: tape.entries.len(),
+        ops_since_boundary: tape.ops_since_boundary,
+        mid_op,
+    });
+    tape.restore_ns = now_ns;
+    if tape.keyframes.len() > KEYFRAME_CAP {
+        let newest = tape.keyframes.len() - 1;
+        let mut i = 0;
+        tape.keyframes.retain(|_| {
+            let keep = (newest - i).is_multiple_of(2);
+            i += 1;
+            keep
+        });
+        tape.keyframe_ns = tape.keyframe_ns.saturating_mul(2);
+    }
 }
 
 /// Unconditionally appends a snapshot/digest boundary entry and resets
@@ -518,6 +641,9 @@ fn push_boundary(session: &mut DebugSession) {
         },
     };
     let tape = session.tape.as_mut().expect("checked above");
+    if matches!(entry, Entry::Snapshot { .. }) {
+        tape.restore_ns = now_ns;
+    }
     tape.ops_since_boundary = 0;
     tape.entries.push(entry);
 }
@@ -528,6 +654,7 @@ fn push_boundary(session: &mut DebugSession) {
 /// the bench's [`Edb`] at encode time. Restore reads only
 /// `sys`, which carries the debugger; [`verify`] re-encodes live state,
 /// so a tampered list is still caught.
+#[derive(Debug)]
 struct SessionState(SystemState);
 
 impl Serialize for SessionState {
@@ -568,6 +695,148 @@ fn restore_snapshot(session: &mut DebugSession, state: &SnapshotState) -> Result
     }
 }
 
+/// Where a backward [`DebugSession::goto_time`] restarts, how it cuts
+/// the tape, and what it re-executes.
+struct Travel {
+    from: Restore,
+    /// Tape entries kept.
+    keep: usize,
+    /// Keyframes kept.
+    keyframes: usize,
+    /// The stride counter at the restore point.
+    ops_since_boundary: u64,
+    /// When the restore point was taken.
+    restore_ns: u64,
+    /// Kept op entries whose stepping op re-execution would cut at the
+    /// target, by entry index, with the cut op.
+    clipped: Vec<(usize, SessionOp)>,
+    /// The stepping op a mid-op keyframe sits inside, cut at the
+    /// target, and the instant it runs to.
+    unfinished: Option<(SessionOp, SimTime)>,
+    /// The ops after the restore point that began before the target.
+    ops: Vec<SessionOp>,
+}
+
+/// A travel's restore point.
+enum Restore {
+    /// The tape snapshot at this entry index.
+    Snapshot(usize),
+    /// The keyframe at this index.
+    Keyframe(usize),
+    /// No snapshot: rebuild the session from the embedded spec.
+    Spec,
+}
+
+/// Plans a backward travel to `target_ns`: the reference restore point
+/// is the latest tape snapshot at or before the target, and re-execution
+/// runs every op after it that began before the target, stepping ops
+/// cut at the target. The latest keyframe that re-execution would pass
+/// through replaces it: one past the snapshot, at or before the target,
+/// with every op before it (the one it sits inside included) begun
+/// strictly before the target and none a stepping op cut to nothing,
+/// which re-execution skips.
+fn plan_travel(tape: &Tape, target_ns: u64) -> Result<Travel, EdbError> {
+    if target_ns < tape.start_ns {
+        return Err(EdbError::Replay {
+            detail: format!(
+                "target {target_ns} ns precedes the recording start ({} ns)",
+                tape.start_ns
+            ),
+        });
+    }
+    let snapshot = tape
+        .entries
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(i, entry)| match entry {
+            Entry::Snapshot { now_ns, .. } if *now_ns <= target_ns => Some((i, *now_ns)),
+            _ => None,
+        });
+    // The entries after the snapshot; without one, after the leading
+    // boundary entries.
+    let base = match snapshot {
+        Some((i, _)) => i + 1,
+        None => tape
+            .entries
+            .iter()
+            .take_while(|e| !matches!(e, Entry::Op { .. }))
+            .count(),
+    };
+    // Op start times never decrease, so the ops begun before the target
+    // are the ones before `late`.
+    let mut ops = Vec::new();
+    let mut late = tape.entries.len();
+    for (i, entry) in tape.entries.iter().enumerate().skip(base) {
+        let Entry::Op { now_ns, value } = entry else {
+            continue;
+        };
+        if *now_ns >= target_ns {
+            late = i;
+            break;
+        }
+        let op = SessionOp::from_value(value).map_err(|e| EdbError::Replay {
+            detail: format!("recorded op at entry {i} does not decode: {e}"),
+        })?;
+        ops.push((i, *now_ns, op));
+    }
+    let keyframe = tape.keyframes.iter().rposition(|kf| {
+        kf.entries > base
+            && kf.entries <= late
+            && kf.now_ns <= target_ns
+            && ops
+                .iter()
+                .take_while(|(i, ..)| *i < kf.entries)
+                .all(|(_, now_ns, op)| op.cut_at(*now_ns, target_ns).is_some())
+    });
+    let kept_before = |base| {
+        tape.keyframes
+            .iter()
+            .take_while(|kf| kf.entries <= base)
+            .count()
+    };
+    let (from, keep, keyframes, ops_since_boundary, restore_ns) = match (keyframe, snapshot) {
+        (Some(k), _) => {
+            let kf = &tape.keyframes[k];
+            let counter = kf.ops_since_boundary;
+            (Restore::Keyframe(k), kf.entries, k + 1, counter, kf.now_ns)
+        }
+        (None, Some((i, now_ns))) => (Restore::Snapshot(i), base, kept_before(base), 0, now_ns),
+        (None, None) => (Restore::Spec, base, kept_before(base), 0, tape.start_ns),
+    };
+    let mut travel = Travel {
+        from,
+        keep,
+        keyframes,
+        ops_since_boundary,
+        restore_ns,
+        clipped: Vec::new(),
+        unfinished: None,
+        ops: Vec::new(),
+    };
+    let mid_op = keyframe.is_some_and(|k| tape.keyframes[k].mid_op);
+    for (i, now_ns, op) in ops {
+        if i >= travel.keep {
+            travel.ops.push(op);
+            continue;
+        }
+        let cut = op
+            .cut_at(now_ns, target_ns)
+            .expect("an admissible keyframe follows no skipped op");
+        if mid_op && i + 1 == travel.keep {
+            let (SessionOp::Advance { ns } | SessionOp::RunUntilSession { timeout_ns: ns }) = cut
+            else {
+                unreachable!("mid-op keyframes sit inside stepping ops");
+            };
+            travel.unfinished = Some((cut.clone(), SimTime::from_ns(now_ns + ns)));
+        }
+        if cut != op {
+            travel.clipped.push((i, cut));
+        }
+    }
+    Ok(travel)
+}
+
 // ---------------------------------------------------------------------
 // Recording control and time travel on DebugSession
 // ---------------------------------------------------------------------
@@ -583,12 +852,16 @@ impl DebugSession {
     /// replay in a fresh process ([`SessionSpec::record`] does both in
     /// one call); without it, the recording verifies only in-process.
     pub fn start_recording(&mut self, spec: Option<&SessionSpec>, stride: u64) {
+        let start_ns = self.now().as_ns();
         self.tape = Some(Tape {
             spec: spec.map(Serialize::to_value),
             stride: stride.max(1),
-            start_ns: self.now().as_ns(),
+            start_ns,
             entries: Vec::new(),
             ops_since_boundary: 0,
+            keyframes: Vec::new(),
+            keyframe_ns: KEYFRAME_NS,
+            restore_ns: start_ns,
         });
         push_boundary(self);
     }
@@ -596,6 +869,18 @@ impl DebugSession {
     /// Whether a recording is active.
     pub fn is_recording(&self) -> bool {
         self.tape.is_some()
+    }
+
+    /// When the live tape's in-memory keyframes were taken, oldest
+    /// first; empty when not recording. Keyframes only shorten time
+    /// travel: no recording ever holds one.
+    pub fn keyframe_times(&self) -> Vec<SimTime> {
+        self.tape.as_ref().map_or_else(Vec::new, |tape| {
+            tape.keyframes
+                .iter()
+                .map(|kf| SimTime::from_ns(kf.now_ns))
+                .collect()
+        })
     }
 
     /// Stops recording and returns the finished [`Recording`], sealed
@@ -633,20 +918,26 @@ impl DebugSession {
     /// Travels to simulated time `target`.
     ///
     /// Forward travel is plain [`advance`](DebugSession::advance).
-    /// Backward travel restores the nearest recorded snapshot at or
-    /// before `target` (or rebuilds from the embedded spec when none
-    /// exists — always the case for digest-only RFID recordings) and
-    /// re-executes the recorded operations forward. An `Advance` or
-    /// `RunUntilSession` that straddles `target` is split exactly at
-    /// `target` (both are pure stepping); an op of any other kind that
-    /// began before `target` — a command exchange, a charge loop —
-    /// re-executes in full, so the session lands at that op's
-    /// completion time. The tape is
-    /// truncated at the landing point: the future beyond it is
+    /// Backward travel restores the latest restore point at or before
+    /// `target` and re-executes the recorded operations forward from
+    /// it. The restore point is the nearest recorded snapshot at or
+    /// before `target` (or a rebuild from the embedded spec when none
+    /// exists — always the case for digest-only RFID recordings), or a
+    /// later in-memory keyframe when one is admissible (see
+    /// [`KEYFRAME_NS`]): every op between that snapshot and the
+    /// keyframe, the one it sits inside included, began strictly before
+    /// `target`. An `Advance` or `RunUntilSession` that straddles
+    /// `target` is split exactly at `target` (both are pure stepping);
+    /// an op of any other kind that began before `target` — a command
+    /// exchange, a charge loop — re-executes in full, so the session
+    /// lands at that op's completion time. Either restore point lands on
+    /// the same bits and leaves the same tape. The tape is truncated at
+    /// the landing point: the future beyond it (keyframes included) is
     /// discarded and new operations extend the new timeline.
     ///
     /// Returns the time actually landed on. Requires an active
-    /// recording.
+    /// recording. On an error (a target before the recording start, an
+    /// op or snapshot that does not decode) the session keeps its tape.
     pub fn goto_time(&mut self, target: SimTime) -> Result<SimTime, EdbError> {
         if self.tape.is_none() {
             return Err(EdbError::NoRecording { op: "goto_time" });
@@ -659,97 +950,39 @@ impl DebugSession {
             return Ok(self.now());
         }
         let target_ns = target.as_ns();
-        let tape = self.tape.take().expect("checked above");
-        if target_ns < tape.start_ns {
-            let start_ns = tape.start_ns;
-            self.tape = Some(tape);
-            return Err(EdbError::Replay {
-                detail: format!(
-                    "target {target_ns} ns precedes the recording start ({start_ns} ns)"
-                ),
-            });
-        }
-
-        // The latest full snapshot at or before the target.
-        let mut restore_idx = None;
-        for (i, entry) in tape.entries.iter().enumerate() {
-            if let Entry::Snapshot { now_ns, .. } = entry {
-                if *now_ns <= target_ns {
-                    restore_idx = Some(i);
-                }
+        let mut tape = self.tape.take().expect("checked above");
+        // Everything that can fail runs before the tape changes.
+        let planned = plan_travel(&tape, target_ns)
+            .and_then(|travel| self.restore_point(&tape, &travel.from).map(|()| travel));
+        let travel = match planned {
+            Ok(travel) => travel,
+            Err(e) => {
+                self.tape = Some(tape);
+                return Err(e);
             }
-        }
-
-        // The prefix of the tape that survives, and the ops to re-run.
-        let keep = match restore_idx {
-            Some(i) => i + 1,
-            // No usable snapshot: keep only the leading boundary entries
-            // and rebuild the session from its spec.
-            None => tape
-                .entries
-                .iter()
-                .take_while(|e| !matches!(e, Entry::Op { .. }))
-                .count(),
         };
-        let replay_ops: Vec<SessionOp> = tape.entries[keep..]
-            .iter()
-            .filter_map(|entry| match entry {
-                Entry::Op { now_ns, value } if *now_ns < target_ns => {
-                    SessionOp::from_value(value).ok()
-                }
-                _ => None,
-            })
-            .collect();
 
-        match restore_idx {
-            Some(i) => {
-                let Entry::Snapshot { state, .. } = &tape.entries[i] else {
-                    unreachable!("restore_idx points at a snapshot");
-                };
-                restore_snapshot(self, state).map_err(|e| EdbError::Replay {
-                    detail: format!("snapshot restore failed: {e}"),
-                })?;
-            }
-            None => {
-                let spec_value = tape.spec.as_ref().ok_or_else(|| EdbError::Replay {
-                    detail: "no snapshot covers the target and the recording carries no spec"
-                        .into(),
-                })?;
-                let spec = SessionSpec::from_value(spec_value).map_err(|e| EdbError::Replay {
-                    detail: format!("embedded spec does not decode: {e}"),
-                })?;
-                *self = spec.build()?;
-            }
-        }
-
-        // Re-install the truncated tape, then re-execute forward. The
+        // Cut the tape back to the restore point as re-execution from
+        // the snapshot would leave it, then re-execute forward. The
         // re-executed ops re-record, so the tape's entries (and boundary
         // snapshots) regrow exactly as they stood the first time.
-        let mut tape = tape;
-        tape.entries.truncate(keep);
-        tape.ops_since_boundary = 0;
+        tape.entries.truncate(travel.keep);
+        for (i, op) in travel.clipped {
+            if let Entry::Op { value, .. } = &mut tape.entries[i] {
+                *value = op.to_value();
+            }
+        }
+        tape.keyframes.truncate(travel.keyframes);
+        tape.ops_since_boundary = travel.ops_since_boundary;
+        tape.restore_ns = travel.restore_ns;
         self.tape = Some(tape);
-        for op in replay_ops {
-            match op {
-                SessionOp::Advance { ns } => {
-                    let remaining = target_ns.saturating_sub(self.now().as_ns());
-                    let ns = ns.min(remaining);
-                    if ns > 0 {
-                        self.advance(SimTime::from_ns(ns));
-                    }
-                }
-                // Waiting for a session is pure stepping, so the state
-                // at any instant inside it equals a plain advance:
-                // clamping the timeout to the target reproduces the
-                // prefix exactly and stops on time.
-                SessionOp::RunUntilSession { timeout_ns } => {
-                    let remaining = target_ns.saturating_sub(self.now().as_ns());
-                    let timeout = timeout_ns.min(remaining);
-                    if timeout > 0 {
-                        let _ = self.run_until_session(SimTime::from_ns(timeout));
-                    }
-                }
-                other => other.apply(self),
+        if let Some((op, end)) = travel.unfinished {
+            self.run_stepping(&op, end);
+            tape_boundary(self);
+        }
+        for op in travel.ops {
+            if let Some(op) = op.cut_at(self.now().as_ns(), target_ns) {
+                op.apply(self);
             }
         }
         // Land exactly on the target when it falls in open time.
@@ -758,6 +991,38 @@ impl DebugSession {
             self.advance(SimTime::from_ns(short));
         }
         Ok(self.now())
+    }
+
+    /// Stands the session up at a travel's restore point.
+    fn restore_point(&mut self, tape: &Tape, from: &Restore) -> Result<(), EdbError> {
+        let failed = |e: DeError| EdbError::Replay {
+            detail: format!("snapshot restore failed: {e}"),
+        };
+        match *from {
+            Restore::Snapshot(i) => {
+                let Entry::Snapshot { state, .. } = &tape.entries[i] else {
+                    unreachable!("the restore point is a snapshot");
+                };
+                restore_snapshot(self, state).map_err(failed)
+            }
+            Restore::Keyframe(k) => {
+                let kf = &tape.keyframes[k];
+                let mut state = kf.state.0.clone();
+                state.mem_mut().replace_fram(kf.fram.concat());
+                self.system_mut().install(state).map_err(failed)
+            }
+            Restore::Spec => {
+                let spec_value = tape.spec.as_ref().ok_or_else(|| EdbError::Replay {
+                    detail: "no snapshot covers the target and the recording carries no spec"
+                        .into(),
+                })?;
+                let spec = SessionSpec::from_value(spec_value).map_err(|e| EdbError::Replay {
+                    detail: format!("embedded spec does not decode: {e}"),
+                })?;
+                *self = spec.build()?;
+                Ok(())
+            }
+        }
     }
 
     /// Steps backward `n` CPU cycles (clamped to the recording start).
@@ -1486,6 +1751,273 @@ mod tests {
             let rec = s.stop_recording().expect("recording");
             verify(&rec).unwrap_or_else(|e| panic!("stride {stride}: {e}"));
         }
+    }
+
+    /// A recorded run that crosses keyframes inside an `Advance` and a
+    /// long `RunUntilSession`, with zero-duration ops (breakpoint, guard,
+    /// a zero-length advance) at op boundaries, exchanges (one writing
+    /// FRAM), a resume and single steps.
+    fn keyframed_run(stride: u64) -> (DebugSession, SessionSpec) {
+        let spec = SessionSpec::bench(ASSERT_APP);
+        let mut s = spec.record(stride).expect("builds");
+        s.advance(SimTime::from_ms(3));
+        assert!(s.run_until_session(SimTime::from_secs(2)));
+        s.set_breakpoint(1, Some(2.0)).unwrap();
+        let _ = s.perform(DebugRequest::ReadWord { addr: 0x6000 });
+        // An FRAM write between keyframes: the pages it lands on are no
+        // longer shared with the keyframes before it.
+        let _ = s.perform(DebugRequest::WriteWord {
+            addr: 0x6002,
+            value: 0xBEEF,
+        });
+        let _ = s.resume();
+        s.advance(SimTime::from_ms(30));
+        // Re-execution skips a zero-length advance, so no keyframe after
+        // it is admissible before the next snapshot.
+        s.advance(SimTime::ZERO);
+        s.arm_energy_guard(1.9).unwrap();
+        s.advance(SimTime::from_ms(12));
+        for _ in 0..3 {
+            s.step();
+        }
+        (s, spec)
+    }
+
+    /// The travel a tape gave before keyframes existed, rebuilt from
+    /// scratch: a fresh recording of `spec` runs the tape's ops up to
+    /// the latest snapshot at or before the target whole, later ops that
+    /// began before the target with `Advance`/`RunUntilSession` cut at
+    /// it (skipped when cut to nothing), then advances to the target.
+    fn reference_travel(
+        spec: &SessionSpec,
+        stride: u64,
+        rec: &Recording,
+        target_ns: u64,
+    ) -> DebugSession {
+        let snapshot = rec
+            .entries
+            .iter()
+            .rposition(|e| matches!(e, Entry::Snapshot { now_ns, .. } if *now_ns <= target_ns))
+            .expect("the tape starts with a snapshot");
+        let mut s = spec.record(stride).expect("builds");
+        for (i, entry) in rec.entries.iter().enumerate() {
+            let Entry::Op { now_ns, value } = entry else {
+                continue;
+            };
+            let op = SessionOp::from_value(value).expect("op decodes");
+            if i < snapshot {
+                op.apply(&mut s);
+                continue;
+            }
+            if *now_ns >= target_ns {
+                break;
+            }
+            let left = target_ns - s.now().as_ns();
+            match op {
+                SessionOp::Advance { ns } if ns.min(left) > 0 => {
+                    s.advance(SimTime::from_ns(ns.min(left)));
+                }
+                SessionOp::RunUntilSession { timeout_ns } if timeout_ns.min(left) > 0 => {
+                    s.run_until_session(SimTime::from_ns(timeout_ns.min(left)));
+                }
+                SessionOp::Advance { .. } | SessionOp::RunUntilSession { .. } => {}
+                other => other.apply(&mut s),
+            }
+        }
+        let short = target_ns.saturating_sub(s.now().as_ns());
+        if short > 0 {
+            s.advance(SimTime::from_ns(short));
+        }
+        s
+    }
+
+    /// Travels `s` back to each target in turn (descending, so each
+    /// travel starts from the tape the previous one cut) and checks the
+    /// landing time, state digest and exported tape bytes against
+    /// [`reference_travel`] on the tape as it stood. Returns how many
+    /// travels restored a keyframe.
+    fn check_travels(
+        s: &mut DebugSession,
+        spec: &SessionSpec,
+        stride: u64,
+        targets: &[u64],
+    ) -> usize {
+        let mut from_keyframes = 0;
+        for &target_ns in targets {
+            let rec = s.export_recording().expect("recording");
+            let tape = s.tape.as_ref().expect("recording");
+            let plan = plan_travel(tape, target_ns).expect("plans");
+            from_keyframes += usize::from(matches!(plan.from, Restore::Keyframe(_)));
+            let landed = s.goto_time(SimTime::from_ns(target_ns)).expect("travels");
+            let reference = reference_travel(spec, stride, &rec, target_ns);
+            let what = format!("stride {stride}, target {target_ns} ns");
+            assert_eq!(landed, reference.now(), "{what}");
+            assert_eq!(
+                s.system().state_digest(),
+                reference.system().state_digest(),
+                "{what}"
+            );
+            let ours = s.export_recording().expect("recording").to_bytes();
+            let theirs = reference.export_recording().expect("recording").to_bytes();
+            assert!(ours == theirs, "{what}: tapes differ");
+            let tape = s.tape.as_ref().expect("recording");
+            assert!(
+                tape.keyframes.iter().all(|kf| kf.now_ns <= landed.as_ns()),
+                "{what}: a keyframe outlived the travel"
+            );
+        }
+        from_keyframes
+    }
+
+    #[test]
+    fn keyframe_travel_equals_reexecution_from_the_snapshot() {
+        // At stride 2 the long `RunUntilSession` is the second op after
+        // a snapshot, so finishing it from a keyframe inside it takes a
+        // snapshot: the stride counter the keyframe restores shows in the
+        // tape bytes.
+        for stride in [1, 2, 32, 4096] {
+            let (mut s, spec) = keyframed_run(stride);
+            let rec = s.export_recording().expect("recording");
+            let tape = s.tape.as_ref().expect("recording");
+            let end_ns = s.now().as_ns();
+            // Every op start (the zero-duration ops' instants among them),
+            // every keyframe instant, points inside every op, and the
+            // instant a 1 000-cycle step back lands on.
+            let mut targets: Vec<u64> = tape.keyframes.iter().map(|kf| kf.now_ns).collect();
+            let starts: Vec<u64> = rec
+                .entries
+                .iter()
+                .filter_map(|e| match e {
+                    Entry::Op { now_ns, .. } => Some(*now_ns),
+                    _ => None,
+                })
+                .chain([end_ns])
+                .collect();
+            targets.extend(&starts);
+            for pair in starts.windows(2) {
+                targets.push(pair[0] + (pair[1] - pair[0]) / 3);
+            }
+            let cycle_ns = (1e9 / s.system().device().config().clock_hz).round() as u64;
+            targets.push(end_ns - 1000 * cycle_ns);
+            targets.retain(|&t| t < end_ns);
+            targets.sort_unstable();
+            targets.dedup();
+            targets.reverse();
+            assert!(
+                tape.keyframes.len() >= 4,
+                "stride {stride}: keyframes taken"
+            );
+
+            let from_keyframes = check_travels(&mut s, &spec, stride, &targets);
+            if stride > 1 {
+                assert!(
+                    from_keyframes > 0,
+                    "stride {stride}: no travel used a keyframe"
+                );
+            }
+            let rec = s.stop_recording().expect("recording");
+            verify(&rec).unwrap_or_else(|e| panic!("stride {stride}: {e}"));
+        }
+    }
+
+    #[test]
+    fn keyframe_travel_from_a_travelled_timeline() {
+        // Travel back, run a new future (re-taking keyframes), then
+        // travel into it and across the old landing point.
+        for stride in [1, 32, 4096] {
+            let (mut s, spec) = keyframed_run(stride);
+            let first = s.now().as_ns() / 2;
+            s.goto_time(SimTime::from_ns(first)).expect("travels");
+            s.advance(SimTime::from_ms(25));
+            let _ = s.run_until_session(SimTime::from_ms(20));
+            s.advance(SimTime::from_ms(9));
+            let end = s.now().as_ns();
+            let targets = [
+                end - 3_000_000,
+                first + 11_000_000,
+                first,
+                first - 5_000_000,
+            ];
+            check_travels(&mut s, &spec, stride, &targets);
+            let rec = s.stop_recording().expect("recording");
+            verify(&rec).unwrap_or_else(|e| panic!("stride {stride}: {e}"));
+        }
+    }
+
+    #[test]
+    fn keyframes_stay_under_the_cap_and_spread_out() {
+        let mut s = SessionSpec::bench(ASSERT_APP).record(4096).expect("builds");
+        let mut spacing = KEYFRAME_NS;
+        let mut doublings = 0;
+        for _ in 0..20 {
+            let before = s.tape.as_ref().expect("recording").keyframes.len();
+            s.advance(SimTime::from_ms(100));
+            let tape = s.tape.as_ref().expect("recording");
+            assert!(tape.keyframes.len() <= KEYFRAME_CAP);
+            if tape.keyframe_ns != spacing {
+                // The cap was hit: the spacing doubles.
+                assert_eq!(tape.keyframe_ns, spacing * 2);
+                spacing *= 2;
+                doublings += 1;
+            } else {
+                assert!(tape.keyframes.len() >= before, "thinned without doubling");
+            }
+            for pair in tape.keyframes.windows(2) {
+                assert!(pair[1].now_ns - pair[0].now_ns >= KEYFRAME_NS);
+            }
+        }
+        assert!(doublings >= 3, "2 s at 8 ms spacing must hit the cap");
+        let tape = s.tape.as_ref().expect("recording");
+        assert_eq!(tape.keyframes.len(), KEYFRAME_CAP);
+        // The newest keyframes sit a whole (doubled) spacing apart.
+        let newest = &tape.keyframes[KEYFRAME_CAP - 2..];
+        assert!(newest[1].now_ns - newest[0].now_ns >= spacing);
+
+        // Travel drops the keyframes past the landing point.
+        let target = SimTime::from_ms(900);
+        let landed = s.goto_time(target).expect("travels");
+        let tape = s.tape.as_ref().expect("recording");
+        assert!(tape.keyframes.iter().all(|kf| kf.now_ns <= landed.as_ns()));
+        assert!(s.keyframe_times().len() < KEYFRAME_CAP);
+        assert!(!s.keyframe_times().is_empty());
+        // Stopping the recording drops them all; none reached it.
+        let rec = s.stop_recording().expect("recording");
+        assert!(s.keyframe_times().is_empty());
+        assert_eq!(rec.snapshot_count(), 2, "start and seal only");
+        verify(&rec).expect("verifies");
+    }
+
+    #[test]
+    fn failed_travel_keeps_the_tape() {
+        let (mut s, _) = recorded_run(4);
+        let before = s.export_recording().expect("recording").to_bytes();
+        let now = s.now();
+        // A tape op that does not decode is a typed error, and the
+        // session keeps its clock and tape.
+        let tape = s.tape.as_mut().expect("recording");
+        let first_op = tape
+            .entries
+            .iter()
+            .position(|e| matches!(e, Entry::Op { .. }))
+            .expect("ops recorded");
+        let Entry::Op { value, .. } = &mut tape.entries[first_op] else {
+            unreachable!()
+        };
+        let good = std::mem::replace(value, Value::Str("not an op".into()));
+        let err = s.goto_time(SimTime::from_ms(1)).expect_err("must fail");
+        assert!(matches!(err, EdbError::Replay { .. }), "{err}");
+        assert!(err.to_string().contains("does not decode"), "{err}");
+        assert!(s.is_recording(), "the tape survived the error");
+        assert_eq!(s.now(), now);
+        // So does a target before the recording start.
+        let tape = s.tape.as_mut().expect("recording");
+        if let Entry::Op { value, .. } = &mut tape.entries[first_op] {
+            *value = good;
+        }
+        tape.start_ns = 5;
+        assert!(s.goto_time(SimTime::from_ns(1)).is_err());
+        s.tape.as_mut().expect("recording").start_ns = 0;
+        assert_eq!(s.export_recording().expect("recording").to_bytes(), before);
     }
 
     #[test]

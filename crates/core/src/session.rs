@@ -143,7 +143,8 @@ impl DebugSession {
         let op = SessionOp::Advance {
             ns: duration.as_ns(),
         };
-        self.recorded(op, |sys| sys.run_for(duration))
+        let end = self.now() + duration;
+        self.recorded_stepping(op, end);
     }
 
     /// Runs until an interactive session opens, up to `timeout`.
@@ -152,7 +153,46 @@ impl DebugSession {
         let op = SessionOp::RunUntilSession {
             timeout_ns: timeout.as_ns(),
         };
-        self.recorded(op, |sys| sys.wait_for_session(timeout))
+        let end = self.now().saturating_add(timeout);
+        self.recorded_stepping(op, end)
+    }
+
+    /// [`recorded`](Self::recorded) for the two stepping ops, which run
+    /// to the absolute instant `end` through
+    /// [`run_stepping`](Self::run_stepping).
+    fn recorded_stepping(&mut self, op: SessionOp, end: SimTime) -> bool {
+        crate::replay::tape_op(self, &op);
+        let opened = self.run_stepping(&op, end);
+        crate::replay::tape_boundary(self);
+        opened
+    }
+
+    /// Runs a stepping op from now to the instant `end`: an `Advance`
+    /// runs to it, a `RunUntilSession` stops early when a session opens
+    /// (and returns `true`). While recording, the run stops at every
+    /// keyframe instant before `end` to take a keyframe and then goes on
+    /// to the same `end`; a stop is one more span break, so the run lands
+    /// on the same bits as without it.
+    pub(crate) fn run_stepping(&mut self, op: &SessionOp, end: SimTime) -> bool {
+        let waits = matches!(op, SessionOp::RunUntilSession { .. });
+        let chunk = |sys: &mut System, until: SimTime| {
+            if waits {
+                sys.wait_for_session_until(until)
+            } else {
+                sys.run_to(until);
+                false
+            }
+        };
+        while let Some(at) = crate::replay::next_keyframe(self).filter(|&at| at < end) {
+            if chunk(&mut self.sys, at) {
+                return true;
+            }
+            if self.now() >= end {
+                break;
+            }
+            crate::replay::push_keyframe(self, true);
+        }
+        chunk(&mut self.sys, end)
     }
 
     /// Resumes the target from an open session (restore energy, release

@@ -616,7 +616,13 @@ impl System {
 
     /// Runs the bench for `duration` of simulated time.
     pub fn run_for(&mut self, duration: SimTime) {
-        let end = self.device.now() + duration;
+        self.run_to(self.device.now() + duration);
+    }
+
+    /// Runs the bench to the first quantum boundary at or after the
+    /// instant `end`. Running to an earlier instant first and then on to
+    /// `end` lands on the same bits: the stop is one more span break.
+    pub(crate) fn run_to(&mut self, end: SimTime) {
         while self.device.now() < end {
             self.advance(end, None);
         }
@@ -635,10 +641,17 @@ impl System {
     }
 
     /// Advances until `pred` holds or `timeout` elapses; returns whether
-    /// the predicate fired. `pred` is evaluated once before the first
-    /// quantum and once after each quantum.
-    fn wait(&mut self, timeout: SimTime, mut pred: impl FnMut(&System) -> bool) -> bool {
-        let end = self.device.now().saturating_add(timeout);
+    /// the predicate fired.
+    fn wait(&mut self, timeout: SimTime, pred: impl FnMut(&System) -> bool) -> bool {
+        self.wait_until(self.device.now().saturating_add(timeout), pred)
+    }
+
+    /// Advances until `pred` holds or the instant `end` passes; returns
+    /// whether the predicate fired. `pred` is evaluated once before the
+    /// first quantum and once after each quantum, so a wait that stops
+    /// at an earlier instant and is then resumed to `end` evaluates it
+    /// on the same quanta.
+    fn wait_until(&mut self, end: SimTime, mut pred: impl FnMut(&System) -> bool) -> bool {
         loop {
             if pred(self) {
                 return true;
@@ -693,7 +706,12 @@ impl System {
     /// Waits for an interactive session to open (assert, breakpoint, or
     /// energy breakpoint), up to `timeout`.
     pub fn wait_for_session(&mut self, timeout: SimTime) -> bool {
-        self.wait(timeout, |s| s.edb().is_some_and(Edb::session_active))
+        self.wait_for_session_until(self.device.now().saturating_add(timeout))
+    }
+
+    /// [`System::wait_for_session`] up to the instant `end`.
+    pub(crate) fn wait_for_session_until(&mut self, end: SimTime) -> bool {
+        self.wait_until(end, |s| s.edb().is_some_and(Edb::session_active))
     }
 
     /// One complete typed exchange: submit the request, then drive the
@@ -840,7 +858,7 @@ impl System {
         self.install(state.clone())
     }
 
-    fn install(&mut self, state: SystemState) -> Result<(), DeError> {
+    pub(crate) fn install(&mut self, state: SystemState) -> Result<(), DeError> {
         let World::Harvester(h) = &mut self.world else {
             return Err(DeError::new(
                 "RFID benches do not support snapshot restore (digest-only replay)",
@@ -1197,6 +1215,11 @@ impl SystemState {
     /// The debugger's state, if one was attached.
     pub fn edb(&self) -> Option<&Edb> {
         self.edb.as_ref()
+    }
+
+    /// The target memory's state.
+    pub(crate) fn mem_mut(&mut self) -> &mut edb_mcu::Memory {
+        self.device.mem_mut()
     }
 
     fn view(&self) -> StateView<'_> {

@@ -42,20 +42,6 @@ pub trait Harvester: Send {
     }
 }
 
-impl<H: Harvester + ?Sized> Harvester for Box<H> {
-    fn current_into(&mut self, v_cap: f64, now: SimTime, dt: f64) -> f64 {
-        (**self).current_into(v_cap, now, dt)
-    }
-
-    fn save_state(&self) -> serde::Value {
-        (**self).save_state()
-    }
-
-    fn load_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
-        (**self).load_state(state)
-    }
-}
-
 /// A fixed charging current, useful in unit tests and for idealized
 /// experiments.
 ///

@@ -22,6 +22,7 @@
 //!    digest, the reader's counters and the checkpoint statistics.
 
 use crate::gen::Program;
+use edb_core::SystemBuilder;
 use edb_device::{Device, DeviceConfig, DeviceEvent, Horizon};
 use edb_energy::{Fading, Harvester, PulsedSource, SimTime, TheveninSource};
 use edb_mcu::asm::assemble;
@@ -110,24 +111,52 @@ impl HarvesterSpec {
         }
     }
 
-    /// Builds a fresh harvester instance for this scenario.
+    /// Builds a fresh harvester instance for this scenario, for the
+    /// device-level arms that step a bare [`Device`].
     pub fn build(&self) -> Box<dyn Harvester> {
         match *self {
             HarvesterSpec::Thevenin { v_oc, r_src } => Box::new(TheveninSource::new(v_oc, r_src)),
             HarvesterSpec::Fading { v_oc, r_src, seed } => {
-                Box::new(Fading::new(TheveninSource::new(v_oc, r_src), 0.05, seed))
+                Box::new(Self::fading(v_oc, r_src, seed))
             }
             HarvesterSpec::Pulsed {
                 v_oc,
                 r_src,
                 on_ms,
                 off_ms,
-            } => Box::new(PulsedSource::new(
-                TheveninSource::new(v_oc, r_src),
-                SimTime::from_ms(on_ms),
-                SimTime::from_ms(off_ms),
-            )),
+            } => Box::new(Self::pulsed(v_oc, r_src, on_ms, off_ms)),
         }
+    }
+
+    /// Powers `builder` from a fresh instance of this scenario, handing
+    /// over the concrete type so the bench boxes it once.
+    pub fn power(&self, builder: SystemBuilder) -> SystemBuilder {
+        match *self {
+            HarvesterSpec::Thevenin { v_oc, r_src } => {
+                builder.harvester(TheveninSource::new(v_oc, r_src))
+            }
+            HarvesterSpec::Fading { v_oc, r_src, seed } => {
+                builder.harvester(Self::fading(v_oc, r_src, seed))
+            }
+            HarvesterSpec::Pulsed {
+                v_oc,
+                r_src,
+                on_ms,
+                off_ms,
+            } => builder.harvester(Self::pulsed(v_oc, r_src, on_ms, off_ms)),
+        }
+    }
+
+    fn fading(v_oc: f64, r_src: f64, seed: u64) -> Fading<TheveninSource> {
+        Fading::new(TheveninSource::new(v_oc, r_src), 0.05, seed)
+    }
+
+    fn pulsed(v_oc: f64, r_src: f64, on_ms: u64, off_ms: u64) -> PulsedSource<TheveninSource> {
+        PulsedSource::new(
+            TheveninSource::new(v_oc, r_src),
+            SimTime::from_ms(on_ms),
+            SimTime::from_ms(off_ms),
+        )
     }
 }
 
@@ -504,11 +533,11 @@ impl SystemWorld {
     fn build(&self, seed: u64) -> edb_core::System {
         let builder = edb_core::System::builder(DeviceConfig::wisp5()).seed(seed);
         match *self {
-            SystemWorld::Harvester(spec) => builder.harvester(spec.build()),
+            SystemWorld::Harvester(spec) => spec.power(builder),
             SystemWorld::Rfid { distance_m } => builder.rfid(distance_m),
-            SystemWorld::Checkpointed(spec, config) => builder
-                .harvester(spec.build())
-                .with_checkpoint_strategy(config),
+            SystemWorld::Checkpointed(spec, config) => {
+                spec.power(builder).with_checkpoint_strategy(config)
+            }
         }
         .build()
     }

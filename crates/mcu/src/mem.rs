@@ -413,6 +413,15 @@ impl Memory {
         &self.fram
     }
 
+    /// Swaps the FRAM image for `image` and returns the old one, for
+    /// holders of many snapshots that store the image in their own form
+    /// (shared pages). Swapping in an empty image parks the memory: it
+    /// must get the bytes it gave up back before it is used again, which
+    /// also keeps its decode cache valid.
+    pub fn replace_fram(&mut self, image: Vec<u8>) -> Vec<u8> {
+        std::mem::replace(&mut self.fram, image)
+    }
+
     /// Number of accesses to unmapped space so far (sticky across power
     /// cycles — it is bench instrumentation, not target state).
     pub fn bus_faults(&self) -> u64 {

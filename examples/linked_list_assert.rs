@@ -12,8 +12,8 @@ use edb_suite::device::DeviceConfig;
 use edb_suite::energy::{Fading, SimTime, TheveninSource};
 use edb_suite::mcu::RESET_VECTOR;
 
-fn harvested(seed: u64) -> Box<Fading<TheveninSource>> {
-    Box::new(Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed))
+fn harvested(seed: u64) -> Fading<TheveninSource> {
+    Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed)
 }
 
 fn main() {

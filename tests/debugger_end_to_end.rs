@@ -6,8 +6,8 @@ use edb_suite::core::{libedb, Console, DebugEvent, System};
 use edb_suite::device::DeviceConfig;
 use edb_suite::energy::{Fading, SimTime, TheveninSource};
 
-fn harvested(seed: u64) -> Box<Fading<TheveninSource>> {
-    Box::new(Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed))
+fn harvested(seed: u64) -> Fading<TheveninSource> {
+    Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed)
 }
 
 #[test]
