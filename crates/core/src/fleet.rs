@@ -208,6 +208,10 @@ pub struct FleetSim {
     slots_left: u32,
     /// Responders of the slot in flight, reused from slot to slot.
     responders: Vec<usize>,
+    /// Carrier spans already on the clock but not yet applied to the
+    /// tags. Tags do not interact while the carrier runs, so the spans
+    /// between two reads of tag state go to the fleet as one pass.
+    pending: Vec<SimTime>,
     events: Vec<FleetEvent>,
 }
 
@@ -233,6 +237,7 @@ impl FleetSim {
             round_open: false,
             slots_left: 0,
             responders: Vec::new(),
+            pending: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -260,15 +265,35 @@ impl FleetSim {
     /// Runs until at least `duration` of carrier time has elapsed
     /// (finishes the in-flight slot).
     pub fn run(&mut self) {
-        let until = self.config.duration;
+        self.run_until(self.config.duration);
+    }
+
+    /// Runs slots until the carrier clock reaches `until` (finishes the
+    /// in-flight slot).
+    pub fn run_until(&mut self, until: SimTime) {
         while self.now < until {
-            self.step_slot();
+            self.arbitrate_slot();
         }
+        self.flush();
+    }
+
+    /// Runs `slots` arbitrated slots.
+    pub fn run_slots(&mut self, slots: u64) {
+        for _ in 0..slots {
+            self.arbitrate_slot();
+        }
+        self.flush();
     }
 
     /// Advances the simulation by exactly one arbitrated slot,
     /// opening/reopening rounds as the reader demands.
     pub fn step_slot(&mut self) {
+        self.run_slots(1);
+    }
+
+    /// One slot, leaving its trailing spans pending: the next slot's
+    /// first read of tag state applies them together with its own.
+    fn arbitrate_slot(&mut self) {
         if !self.round_open || self.slots_left == 0 {
             self.open_round();
         }
@@ -281,6 +306,8 @@ impl FleetSim {
         self.slots_left -= 1;
 
         let mut responders = std::mem::take(&mut self.responders);
+        // A crossing in a pending span clears a reply slot.
+        self.flush();
         self.fleet.open_slot(&mut responders);
         let outcome = match responders.len() {
             0 => {
@@ -298,6 +325,7 @@ impl FleetSim {
                 self.advance(air);
                 let p = self.config.corrupt_probability(self.distances[i]);
                 let corrupt = self.fleet.draw_unit(i) < p;
+                self.flush();
                 self.fleet.complete_reply(i, air, !corrupt);
                 if corrupt {
                     SlotOutcome::Corrupt
@@ -312,6 +340,7 @@ impl FleetSim {
                 let air = self.config.timing.air_time(RN16_BYTES);
                 self.advance(air);
                 self.advance(self.config.timing.empty_slot_timeout);
+                self.flush();
                 let q = self.reader.q();
                 for &i in &responders {
                     self.fleet.complete_reply(i, air, false);
@@ -343,6 +372,7 @@ impl FleetSim {
         let (cmd, slots) = self.reader.open_round();
         let adjust = matches!(cmd, Command::QueryAdjust { .. });
         self.put_on_air(&cmd);
+        self.flush();
         self.fleet.begin_round(self.reader.q());
         self.round_open = true;
         self.slots_left = slots;
@@ -356,18 +386,29 @@ impl FleetSim {
     }
 
     fn put_on_air(&mut self, cmd: &Command) {
-        let air = self.config.timing.air_time(cmd.encode().len());
+        let air = self.config.timing.air_time(cmd.encoded_len());
         self.advance(air);
     }
 
+    /// Puts `span` on the clock; the tags catch up at the next
+    /// [`flush`](Self::flush).
     fn advance(&mut self, span: SimTime) {
-        self.fleet.advance_span(span);
+        self.pending.push(span);
         self.now = SimTime::from_ns(self.now.as_ns() + span.as_ns());
+    }
+
+    /// Applies the pending spans to every tag, in one pass.
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.fleet.advance_spans(&self.pending);
+            self.pending.clear();
+        }
     }
 
     /// Snapshot of one tag by *global* index (None when the tag lives
     /// in another cell).
     pub fn tag_status(&self, global: usize) -> Option<TagStatus> {
+        debug_assert!(self.pending.is_empty(), "tag state read mid-slot");
         let i = global.checked_sub(self.global_base)?;
         if i >= self.fleet.len() {
             return None;
@@ -386,6 +427,7 @@ impl FleetSim {
 
     /// The cell's mergeable results so far.
     pub fn stats(&self) -> FleetCellStats {
+        debug_assert!(self.pending.is_empty(), "tag state read mid-slot");
         let (q_lo, q_hi) = self.reader.q_range_seen();
         FleetCellStats {
             gen2: self.reader.stats(),

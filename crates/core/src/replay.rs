@@ -1378,16 +1378,9 @@ pub fn fleet_digest(sim: &FleetSim) -> u64 {
 pub fn apply_fleet_op(sim: &mut FleetSim, op: FleetOp) {
     match op {
         FleetOp::RunMs(ms) => {
-            let until = SimTime::from_ns(sim.now().as_ns() + ms * 1_000_000);
-            while sim.now() < until {
-                sim.step_slot();
-            }
+            sim.run_until(SimTime::from_ns(sim.now().as_ns() + ms * 1_000_000));
         }
-        FleetOp::RunSlots(slots) => {
-            for _ in 0..slots {
-                sim.step_slot();
-            }
-        }
+        FleetOp::RunSlots(slots) => sim.run_slots(slots),
     }
 }
 

@@ -7,20 +7,28 @@
 //! therefore models each tag as what it electrically is between RF
 //! events — a first-order RC node (Thévenin harvester into the 47 µF
 //! storage cap) with a piecewise-constant load — and advances *every*
-//! tag from one Gen2 slot boundary to the next in closed form. One
-//! decay factor per span ([`rc_decay`]) is shared by every tag, so a
-//! tag costs one multiply-add ([`rc_settle`]) plus a crossing
-//! pre-filter ([`rc_span_misses`]); `ln` runs only for tags near a
-//! threshold, which take the exact piecewise path ([`rc_time_to`] /
-//! [`rc_advance`]) through the `v_on` turn-on and `v_off` brown-out
-//! crossings inside the span.
+//! tag through a run of carrier spans in closed form. One decay factor
+//! per span ([`rc_decay`]) is shared by every tag, so a tag costs one
+//! multiply-add ([`rc_settle`]) plus a crossing pre-filter
+//! ([`rc_span_misses`]) per span, in one select-only pass over the
+//! arrays ([`Fleet::advance_spans`]). `ln` runs only for the tags that
+//! pass lists as near a threshold: a sparse fix-up takes them through
+//! the exact piecewise path ([`rc_time_to`] / [`rc_advance`]) across
+//! the `v_on` turn-on and `v_off` brown-out crossings.
+//!
+//! Slot bookkeeping costs only the tags that reply. Each tag holds the
+//! *absolute* slot of the round it replies in, and sits in that slot's
+//! intrusive list (a `head` per slot, a `link` per tag). Opening slot
+//! `k` walks list `k` alone; a brown-out, turn-on or finished reply
+//! just clears the tag's slot, and the walk skips entries whose slot no
+//! longer matches.
 //!
 //! State is laid out struct-of-arrays: one `Vec` per field (`v_cap`,
-//! `mode`, `slot`, `rng`, …), so the hot span-advance loop streams
-//! through contiguous memory instead of hopping across 10⁴ boxed
-//! devices. Each tag owns a SplitMix64 stream seeded from the trial
-//! seed and its *global* tag index, which is what makes a fleet
-//! bit-reproducible regardless of how tags are sharded across threads.
+//! `mode`, `slot`, `rng`, …), so the span pass streams through
+//! contiguous memory instead of hopping across 10⁴ boxed devices. Each
+//! tag owns a SplitMix64 stream seeded from the trial seed and its
+//! *global* tag index, which is what makes a fleet bit-reproducible
+//! regardless of how tags are sharded across threads.
 //!
 //! Work the tag "computes" while powered is accounted as
 //! `active-seconds × clock-rate` in [`Fleet::tag_cycles`] — the
@@ -109,6 +117,14 @@ pub enum TagMode {
     On = 1,
 }
 
+/// End of a slot list, and the slot of a tag that replies in none.
+const NONE: u32 = u32::MAX;
+/// `link` of a tag that sits in no list still to be walked.
+const UNLINKED: u32 = u32::MAX - 1;
+/// Most spans one pass of [`Fleet::advance_spans`] fuses; a longer run
+/// goes in chunks.
+const FUSED_SPANS: usize = 4;
+
 /// A struct-of-arrays population of reduced-order tags.
 ///
 /// All per-tag state lives in parallel vectors indexed by the tag's
@@ -125,8 +141,16 @@ pub struct Fleet {
     mode: Vec<TagMode>,
     /// Harvested open-circuit voltage, distance-scaled (V).
     v_oc: Vec<f64>,
-    /// Gen2 slot counter for the round in progress.
+    /// Absolute slot of the round in progress the tag replies in, or
+    /// `NONE`.
     slot: Vec<u32>,
+    /// The slot [`open_slot`](Fleet::open_slot) opens next.
+    next_slot: u32,
+    /// First tag of each slot's list (`NONE`: empty).
+    head: Vec<u32>,
+    /// Next tag in the same slot list (`NONE`: last), or `UNLINKED`;
+    /// sized by the first round.
+    link: Vec<u32>,
     /// Per-tag SplitMix64 stream state.
     rng: Vec<u64>,
     /// Inventoried flag (session flag A→B); cleared by brown-out.
@@ -135,6 +159,8 @@ pub struct Fleet {
     active_s: Vec<f64>,
     /// Brown-out → turn-on cycles survived.
     power_cycles: Vec<u32>,
+    /// Span-pass scratch: the tags it left for the exact fix-up.
+    crossing: Vec<usize>,
 }
 
 impl Fleet {
@@ -151,6 +177,7 @@ impl Fleet {
         seed: u64,
         distance_of: impl Fn(usize) -> f64,
     ) -> Self {
+        assert!(n < UNLINKED as usize, "{n} tags overflow the slot lists");
         let mut v_oc = Vec::with_capacity(n);
         let mut rng = Vec::with_capacity(n);
         for i in 0..n {
@@ -170,11 +197,15 @@ impl Fleet {
             v_cap: vec![params.v_off; n],
             mode: vec![TagMode::Off; n],
             v_oc,
-            slot: vec![u32::MAX; n],
+            slot: vec![NONE; n],
+            next_slot: 0,
+            head: Vec::new(),
+            link: Vec::new(),
             rng,
             inventoried: vec![false; n],
             active_s: vec![0.0; n],
             power_cycles: vec![0; n],
+            crossing: Vec::new(),
         }
     }
 
@@ -237,44 +268,127 @@ impl Fleet {
         self.mode.iter().filter(|m| **m == TagMode::On).count()
     }
 
-    /// Advances every tag `span` of carrier time with closed-form RC
-    /// arithmetic, handling turn-on and brown-out crossings inside the
-    /// span (piecewise, at most a few segments per tag per slot).
+    /// Advances every tag `span` of carrier time: the one-span case of
+    /// [`advance_spans`](Self::advance_spans).
+    pub fn advance_span(&mut self, span: SimTime) {
+        self.advance_spans(&[span]);
+    }
+
+    /// Advances every tag through `spans` of carrier time, in order,
+    /// with closed-form RC arithmetic, handling turn-on and brown-out
+    /// crossings inside each span. Bit for bit the same as advancing
+    /// the spans one at a time, because tags do not interact while the
+    /// carrier runs: each tag sees the same float operations in the
+    /// same order.
     ///
     /// Powered tags draw `i_listen`; unpowered tags charge unloaded.
-    /// The span's decay factor is computed once: a tag whose settled
-    /// voltage [`rc_span_misses`] its threshold takes it in one
-    /// [`rc_settle`], the same operations [`rc_advance`] runs; only a
-    /// tag that may cross goes through the exact crossing loop.
-    pub fn advance_span(&mut self, span: SimTime) {
-        let dt = span.as_secs_f64();
-        if dt <= 0.0 {
-            return;
+    /// Each span's decay factor is computed once. One select-only pass
+    /// settles every tag through all the spans with [`rc_settle`] — the
+    /// same operations [`rc_advance`] runs — and writes back the tags
+    /// whose settled voltage [`rc_span_misses`] its threshold in every
+    /// span. It lists the rest, which may cross; only when it listed
+    /// one does a sparse fix-up take those tags, span by span, through
+    /// the exact crossing loop. The pre-filter keeps its short-circuit:
+    /// most tags settle far from a threshold and leave it at its first
+    /// test, which measured faster than evaluating every term to make
+    /// the pass branch-free.
+    pub fn advance_spans(&mut self, spans: &[SimTime]) {
+        let tau = self.params.tau();
+        for chunk in spans.chunks(FUSED_SPANS) {
+            let mut steps = [(0.0, 0.0); FUSED_SPANS];
+            let mut k = 0;
+            for span in chunk {
+                let dt = span.as_secs_f64();
+                if dt > 0.0 {
+                    steps[k] = (dt, rc_decay(tau, dt));
+                    k += 1;
+                }
+            }
+            // A span count fixed at compile time unrolls the per-tag
+            // span loop; a slice here made `fleet-10k` ~35% slower.
+            match k {
+                0 => continue,
+                1 => self.settle_pass([steps[0]]),
+                2 => self.settle_pass([steps[0], steps[1]]),
+                3 => self.settle_pass([steps[0], steps[1], steps[2]]),
+                _ => self.settle_pass(steps),
+            }
+            if !self.crossing.is_empty() {
+                self.fix_crossings(&steps[..k], tau);
+            }
         }
+    }
+
+    /// The select-only pass of [`advance_spans`](Self::advance_spans)
+    /// over `K` spans of `(dt, decay)`: writes every tag that settles
+    /// clear of its threshold in all of them, and leaves the others as
+    /// they were, listed in `crossing`.
+    fn settle_pass<const K: usize>(&mut self, steps: [(f64, f64); K]) {
         let p = self.params;
-        let tau = p.tau();
-        let decay = rc_decay(tau, dt);
-        for i in 0..self.v_cap.len() {
-            let on = self.mode[i] == TagMode::On;
+        self.crossing.clear();
+        let tags = self
+            .v_cap
+            .iter_mut()
+            .zip(&mut self.active_s)
+            .zip(&self.mode)
+            .zip(&self.v_oc);
+        for (i, (((v_cap, active_s), mode), &v_oc)) in tags.enumerate() {
+            let on = *mode == TagMode::On;
             let (i_load, v_target) = if on {
                 (p.i_listen, p.v_off)
             } else {
                 (0.0, p.v_on)
             };
-            let v = self.v_cap[i];
-            let v_inf = p.v_inf(self.v_oc[i], i_load);
-            let v_end = rc_settle(v, v_inf, decay);
-            if rc_span_misses(v, v_inf, v_target, v_end) {
+            let v_inf = p.v_inf(v_oc, i_load);
+            let (mut v, mut active, mut cross) = (*v_cap, *active_s, false);
+            for (dt, decay) in steps {
+                let v_end = rc_settle(v, v_inf, decay);
+                let misses = rc_span_misses(v, v_inf, v_target, v_end);
                 debug_assert!(
-                    rc_time_to(v, v_inf, tau, v_target).is_none_or(|t| t > dt),
-                    "tag {i}: pre-filter passed a crossing"
+                    cross
+                        || !misses
+                        || rc_time_to(v, v_inf, p.tau(), v_target).is_none_or(|t| t > dt),
+                    "pre-filter passed a crossing"
                 );
-                self.v_cap[i] = v_end;
-                if on {
-                    self.active_s[i] += dt;
-                }
+                cross |= !misses;
+                v = v_end;
+                active = if on { active + dt } else { active };
+            }
+            if cross {
+                self.crossing.push(i);
             } else {
-                self.advance_tag_exact(i, dt, tau);
+                *v_cap = v;
+                *active_s = active;
+            }
+        }
+    }
+
+    /// The sparse fix-up of [`advance_spans`](Self::advance_spans):
+    /// runs every tag the settle pass listed through `steps` one span
+    /// at a time, each by one [`rc_settle`] when it misses its
+    /// threshold and by the exact crossing loop when it may not.
+    fn fix_crossings(&mut self, steps: &[(f64, f64)], tau: f64) {
+        let p = self.params;
+        for k in 0..self.crossing.len() {
+            let i = self.crossing[k];
+            for &(dt, decay) in steps {
+                let on = self.mode[i] == TagMode::On;
+                let (i_load, v_target) = if on {
+                    (p.i_listen, p.v_off)
+                } else {
+                    (0.0, p.v_on)
+                };
+                let v = self.v_cap[i];
+                let v_inf = p.v_inf(self.v_oc[i], i_load);
+                let v_end = rc_settle(v, v_inf, decay);
+                if rc_span_misses(v, v_inf, v_target, v_end) {
+                    self.v_cap[i] = v_end;
+                    if on {
+                        self.active_s[i] += dt;
+                    }
+                } else {
+                    self.advance_tag_exact(i, dt, tau);
+                }
             }
         }
     }
@@ -299,7 +413,7 @@ impl Fleet {
                             // the rest.
                             self.v_cap[i] = self.params.v_on;
                             self.mode[i] = TagMode::On;
-                            self.slot[i] = u32::MAX;
+                            self.slot[i] = NONE;
                             remaining -= t;
                         }
                         _ => {
@@ -317,7 +431,7 @@ impl Fleet {
                             // flag.
                             self.v_cap[i] = self.params.v_off;
                             self.mode[i] = TagMode::Off;
-                            self.slot[i] = u32::MAX;
+                            self.slot[i] = NONE;
                             self.inventoried[i] = false;
                             self.power_cycles[i] += 1;
                             self.active_s[i] += t;
@@ -335,48 +449,75 @@ impl Fleet {
     }
 
     /// Starts an inventory round of `2^q` slots: every powered,
-    /// un-inventoried tag draws a fresh slot counter from its own
-    /// stream. Unpowered tags miss the Query entirely.
+    /// un-inventoried tag draws its reply slot from its own stream and
+    /// joins that slot's list. Unpowered tags miss the Query entirely.
     pub fn begin_round(&mut self, q: u8) {
         let mask = (1u64 << q) - 1;
+        self.next_slot = 0;
+        self.head.clear();
+        self.head.resize(1 << q, NONE);
+        self.link.clear();
+        self.link.resize(self.v_cap.len(), UNLINKED);
         for i in 0..self.v_cap.len() {
             if self.mode[i] == TagMode::On && !self.inventoried[i] {
-                self.slot[i] = (splitmix64(&mut self.rng[i]) & mask) as u32;
+                let slot = (splitmix64(&mut self.rng[i]) & mask) as u32;
+                self.join(i, slot);
             } else {
-                self.slot[i] = u32::MAX;
+                self.slot[i] = NONE;
             }
         }
     }
 
-    /// Opens the next slot of the round in one pass: fills `responders`
-    /// (cleared first) with the local indices of tags replying in it
-    /// (counter 0), takes them out of the round, and counts every other
-    /// live counter down (QueryRep). A responder contends again only
-    /// through [`redraw_after_collision`](Self::redraw_after_collision)
-    /// or the next round's draw, as a real tag whose reply went
-    /// unanswered does. Reusing one buffer across slots keeps the pass
+    /// Puts tag `i` in slot `slot`'s list, growing the lists when a
+    /// draw lands past the round's last slot.
+    fn join(&mut self, i: usize, slot: u32) {
+        assert_eq!(self.link[i], UNLINKED, "tag {i} still sits in a slot list");
+        let k = slot as usize;
+        if k >= self.head.len() {
+            self.head.resize(k + 1, NONE);
+        }
+        self.slot[i] = slot;
+        self.link[i] = self.head[k];
+        self.head[k] = i as u32;
+    }
+
+    /// Opens the next slot of the round: fills `responders` (cleared
+    /// first) with the local indices of the tags replying in it, in
+    /// ascending order, and takes them out of the round. Only the
+    /// slot's own list is walked; an entry whose slot was cleared since
+    /// it joined (brown-out, turn-on, finished reply) is skipped. A
+    /// responder contends again only through
+    /// [`redraw_after_collision`](Self::redraw_after_collision) or the
+    /// next round's draw, as a real tag whose reply went unanswered
+    /// does. Reusing one buffer across slots keeps the call
     /// allocation-free.
     pub fn open_slot(&mut self, responders: &mut Vec<usize>) {
         responders.clear();
-        for (i, s) in self.slot.iter_mut().enumerate() {
-            match *s {
-                u32::MAX => {}
-                0 => {
-                    responders.push(i);
-                    *s = u32::MAX;
-                }
-                n => *s = n - 1,
+        let k = self.next_slot;
+        self.next_slot = k.saturating_add(1);
+        let Some(head) = self.head.get_mut(k as usize) else {
+            return;
+        };
+        let mut i = std::mem::replace(head, NONE);
+        while i != NONE {
+            let t = i as usize;
+            if self.slot[t] == k {
+                responders.push(t);
+                self.slot[t] = NONE;
             }
+            i = std::mem::replace(&mut self.link[t], UNLINKED);
         }
+        responders.sort_unstable();
     }
 
-    /// Redraws tag `i`'s counter after a collision in the slot just
-    /// opened (the Gen2 spec lets collided tags re-arbitrate within the
-    /// round): uniform over the next `2^q` slots, so it contends on a
-    /// strictly later slot.
+    /// Redraws the reply slot of tag `i`, a responder of the slot just
+    /// opened, after a collision (the Gen2 spec lets collided tags
+    /// re-arbitrate within the round): uniform over the next `2^q`
+    /// slots, so it contends on a strictly later slot.
     pub fn redraw_after_collision(&mut self, i: usize, q: u8) {
         let mask = (1u64 << q) - 1;
-        self.slot[i] = (splitmix64(&mut self.rng[i]) & mask) as u32;
+        let draw = (splitmix64(&mut self.rng[i]) & mask) as u32;
+        self.join(i, self.next_slot + draw);
     }
 
     /// Marks tag `i` inventoried and charges its reply: the EPC
@@ -389,10 +530,9 @@ impl Fleet {
         if inventoried {
             self.inventoried[i] = true;
         }
-        self.slot[i] = u32::MAX;
+        self.slot[i] = NONE;
         if self.v_cap[i] < self.params.v_off {
             self.mode[i] = TagMode::Off;
-            self.slot[i] = u32::MAX;
             self.inventoried[i] = false;
             self.power_cycles[i] += 1;
         }
@@ -458,13 +598,22 @@ mod tests {
         // Force it on with a full cap, mid-round.
         f.mode[0] = TagMode::On;
         f.v_cap[0] = 2.6;
+        f.begin_round(2);
+        let drawn = f.slot[0];
+        assert!(drawn < 4, "an on, un-inventoried tag draws a slot");
         f.inventoried[0] = true;
-        f.slot[0] = 3;
         f.advance_span(SimTime::from_secs(1));
         assert_eq!(f.mode(0), TagMode::Off);
         assert!(!f.inventoried(0), "brown-out clears the session flag");
-        assert_eq!(f.slot[0], u32::MAX, "brown-out clears the slot counter");
+        assert_eq!(f.slot[0], NONE, "brown-out clears the reply slot");
         assert_eq!(f.power_cycles(0), 1);
+        // The tag still sits in its slot's list; opening the slot skips
+        // the stale entry.
+        let mut responders = Vec::new();
+        for _ in 0..4 {
+            f.open_slot(&mut responders);
+            assert!(responders.is_empty(), "a browned-out tag cannot reply");
+        }
     }
 
     #[test]
@@ -501,7 +650,7 @@ mod tests {
                             Some(t) if t <= remaining => {
                                 f.v_cap[i] = f.params.v_on;
                                 f.mode[i] = TagMode::On;
-                                f.slot[i] = u32::MAX;
+                                f.slot[i] = NONE;
                                 remaining -= t;
                             }
                             _ => {
@@ -516,7 +665,7 @@ mod tests {
                             Some(t) if t <= remaining => {
                                 f.v_cap[i] = f.params.v_off;
                                 f.mode[i] = TagMode::Off;
-                                f.slot[i] = u32::MAX;
+                                f.slot[i] = NONE;
                                 f.inventoried[i] = false;
                                 f.power_cycles[i] += 1;
                                 f.active_s[i] += t;
@@ -536,12 +685,15 @@ mod tests {
 
     #[test]
     fn hoisted_span_matches_per_tag_loop_bit_for_bit() {
-        // 2 000 spans × 64 tags = 128 000 seeded cases. Each tag draws
-        // its mode, v ∈ [0, 3] V and d ∈ [0.3, 2] m; every span, from
-        // 1 µs to 10 ms log-uniform, is shared by its 64 tags. A third
-        // of the tags sit within ±1e-6 V of their threshold, and a sixth
-        // start exactly where the span ends at the crossing, so the
-        // pre-filter must hand them to the exact loop.
+        // 2 000 span runs × 64 tags = 128 000 seeded cases. Each tag
+        // draws its mode, v ∈ [0, 3] V and d ∈ [0.3, 2] m; run `c` is
+        // `1 + c % 6` spans, each from 1 µs to 10 ms log-uniform, shared
+        // by its 64 tags and fused into one `advance_spans` call (five
+        // and six spans take two chunks). A third of the tags sit within
+        // ±1e-6 V of their threshold, and a sixth start exactly where the
+        // first span ends at the crossing, so the settle pass must leave
+        // them to the exact loop; the rest of the run then goes on from
+        // the crossing.
         const TAGS: usize = 64;
         fn unit(rng: &mut u64) -> f64 {
             (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
@@ -550,9 +702,11 @@ mod tests {
         let tau = p.tau();
         let mut rng = 0x5EED_F1EE_u64;
         let mut crossings = 0u32;
-        for _ in 0..2_000 {
-            let span = SimTime::from_ns((1e3 * 1e4f64.powf(unit(&mut rng))) as u64);
-            let dt = span.as_secs_f64();
+        for c in 0..2_000 {
+            let spans: Vec<SimTime> = (0..=c % 6)
+                .map(|_| SimTime::from_ns((1e3 * 1e4f64.powf(unit(&mut rng))) as u64))
+                .collect();
+            let dt = spans[0].as_secs_f64();
             let d: Vec<f64> = (0..TAGS).map(|_| 0.3 + 1.7 * unit(&mut rng)).collect();
             let mut fast = Fleet::new(p, 0, TAGS, 0, |g| d[g]);
             for i in 0..TAGS {
@@ -572,17 +726,19 @@ mod tests {
                 fast.slot[i] = if on {
                     (splitmix64(&mut rng) % 16) as u32
                 } else {
-                    u32::MAX
+                    NONE
                 };
                 fast.inventoried[i] = on && unit(&mut rng) < 0.5;
                 fast.power_cycles[i] = (splitmix64(&mut rng) % 4) as u32;
                 fast.active_s[i] = unit(&mut rng);
             }
             let mut exact = fast.clone();
-            fast.advance_span(span);
-            advance_span_reference(&mut exact, span);
+            fast.advance_spans(&spans);
+            for &span in &spans {
+                advance_span_reference(&mut exact, span);
+            }
             for i in 0..TAGS {
-                let case = format!("span {dt:e} s, tag {i}");
+                let case = format!("spans {spans:?}, tag {i}");
                 assert_eq!(fast.v_cap[i].to_bits(), exact.v_cap[i].to_bits(), "{case}");
                 assert_eq!(fast.mode[i], exact.mode[i], "{case}");
                 assert_eq!(fast.slot[i], exact.slot[i], "{case}");
@@ -596,7 +752,7 @@ mod tests {
             }
             // A turn-on leaves the slot cleared; a brown-out the mode Off.
             crossings += (0..TAGS)
-                .filter(|&i| exact.slot[i] == u32::MAX && exact.mode[i] == TagMode::On)
+                .filter(|&i| exact.slot[i] == NONE && exact.mode[i] == TagMode::On)
                 .count() as u32;
         }
         assert!(
@@ -614,17 +770,48 @@ mod tests {
         for i in 0..8 {
             assert!(f.slot[i] < 4, "drawn within 2^q");
         }
-        let before = f.slot.clone();
+        let drawn = f.slot.clone();
         let mut responders = vec![usize::MAX; 3];
+        for k in 0..4 {
+            f.open_slot(&mut responders);
+            let want: Vec<usize> = (0..8).filter(|&i| drawn[i] == k).collect();
+            assert_eq!(responders, want, "slot {k}: its holders, ascending");
+            for (i, &d) in drawn.iter().enumerate() {
+                let left = if d <= k { NONE } else { d };
+                assert_eq!(f.slot[i], left, "responders leave the round");
+            }
+        }
         f.open_slot(&mut responders);
-        let zeros: Vec<usize> = (0..8).filter(|&i| before[i] == 0).collect();
-        assert_eq!(responders, zeros, "the buffer holds exactly the 0-holders");
-        for (i, &b) in before.iter().enumerate() {
-            let want = if b == 0 { u32::MAX } else { b - 1 };
-            assert_eq!(
-                f.slot[i], want,
-                "0-holders leave the round, the rest count down"
-            );
+        assert!(responders.is_empty(), "past the round's last slot");
+    }
+
+    #[test]
+    fn collided_tags_redraw_into_later_slots_even_past_the_round() {
+        let mut f = Fleet::new(params(), 0, 64, 5, |_| 0.5);
+        f.advance_span(SimTime::from_secs(1));
+        f.begin_round(1);
+        let mut responders = Vec::new();
+        f.open_slot(&mut responders);
+        assert!(responders.len() > 1, "64 tags in 2 slots collide");
+        let collided = responders.clone();
+        // A q raised inside the round: draws land up to slot 1 + 63,
+        // far past the round's 2 lists.
+        for &i in &collided {
+            f.complete_reply(i, SimTime::from_us(100), false);
+            f.redraw_after_collision(i, 6);
+            assert!((1..65).contains(&f.slot[i]), "tag {i}: {}", f.slot[i]);
+        }
+        let target: Vec<u32> = collided.iter().map(|&i| f.slot[i]).collect();
+        let mut seen = vec![None; 64];
+        for k in 1..70 {
+            f.open_slot(&mut responders);
+            for &i in &responders {
+                assert!(seen[i].is_none(), "tag {i} replied twice");
+                seen[i] = Some(k);
+            }
+        }
+        for (&i, &k) in collided.iter().zip(&target) {
+            assert_eq!(seen[i], Some(k), "tag {i} replies in its redrawn slot");
         }
     }
 
@@ -633,8 +820,8 @@ mod tests {
         let mut f = Fleet::new(params(), 0, 2, 9, |g| if g == 0 { 0.5 } else { 2.0 });
         f.advance_span(SimTime::from_secs(2));
         f.begin_round(4);
-        assert_ne!(f.slot[0], u32::MAX);
-        assert_eq!(f.slot[1], u32::MAX, "a dead tag cannot hear the Query");
+        assert_ne!(f.slot[0], NONE);
+        assert_eq!(f.slot[1], NONE, "a dead tag cannot hear the Query");
     }
 
     #[test]

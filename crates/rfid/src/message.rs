@@ -103,6 +103,15 @@ impl Command {
         }
     }
 
+    /// Length in bytes of [`encode`](Self::encode)'s frame, CRC-5
+    /// included, without building it.
+    pub fn encoded_len(self) -> usize {
+        match self {
+            Command::Query { .. } | Command::QueryRep { .. } | Command::QueryAdjust { .. } => 3,
+            Command::Ack { .. } => 4,
+        }
+    }
+
     /// Parses and CRC-checks a command frame.
     ///
     /// # Errors

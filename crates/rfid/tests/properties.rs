@@ -17,6 +17,25 @@ proptest! {
         }
     }
 
+    /// `encoded_len` is the length of the frame `encode` builds, for
+    /// every command variant.
+    #[test]
+    fn command_encoded_len_matches_encode(
+        q in 0u8..16,
+        session in 0u8..16,
+        updn in -1i8..=1,
+        rn in any::<u16>(),
+    ) {
+        for cmd in [
+            Command::Query { q, session },
+            Command::QueryRep { session },
+            Command::QueryAdjust { session, updn },
+            Command::Ack { rn },
+        ] {
+            prop_assert_eq!(cmd.encoded_len(), cmd.encode().len());
+        }
+    }
+
     /// Every reply encodes to bytes that decode back to itself.
     #[test]
     fn reply_round_trip(rn in any::<u16>(), epc in any::<[u8; 12]>()) {

@@ -128,12 +128,12 @@ pub const DEFAULT_EVENT_EXCLUDE: &[&str] = &["energy"];
 /// above the 2 s the transcripts, benchmark and tests ask for at most.
 /// Measured at the limit on a 2-core host: a session request answers
 /// in under 0.5 s, `fleet_run` on a 10^5-tag fleet (the largest
-/// `fleet_create` allows) in about 5 s.
+/// `fleet_create` allows) in about 2.7 s.
 pub const SIM_BUDGET: SimTime = SimTime::from_ms(2_500);
 
 /// The most steps one request may take: `step`'s `count` (one quantum
 /// each) and `fleet_run`'s `slots`. Sized above the 400 the tests ask
-/// for at most; 1 000 slots of a 10^5-tag fleet take about 2 s on a
+/// for at most; 1 000 slots of a 10^5-tag fleet take about 1 s on a
 /// 2-core host.
 pub const STEP_LIMIT: u64 = 1_000;
 
