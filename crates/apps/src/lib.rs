@@ -16,6 +16,8 @@
 //! for checking target state from tests and experiment harnesses.
 //! [`oracle`] adds a T-Check-style exhaustive reboot-point explorer that
 //! enumerates exactly which instruction boundaries are vulnerable.
+//! [`registry`] is the one name → firmware table every frontend and the
+//! session server look apps up in.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -24,4 +26,5 @@ pub mod activity;
 pub mod fib;
 pub mod linked_list;
 pub mod oracle;
+pub mod registry;
 pub mod rfid_fw;

@@ -170,6 +170,23 @@ pub struct Firmware {
     pub wrap: bool,
 }
 
+impl Firmware {
+    /// The assembled image, wrapped with the `libEDB` runtime first when
+    /// `wrap` says so. Assembly failures surface as [`EdbError::Device`].
+    pub fn assemble(&self) -> Result<edb_mcu::Image, EdbError> {
+        let wrapped;
+        let source = if self.wrap {
+            wrapped = crate::libedb::wrap_program(&self.source);
+            &wrapped
+        } else {
+            &self.source
+        };
+        edb_mcu::asm::assemble(source).map_err(|e| EdbError::Device {
+            detail: format!("firmware does not assemble: {e}"),
+        })
+    }
+}
+
 /// Everything needed to rebuild a [`DebugSession`] bit-identically:
 /// the initial image plus every seed. This is the one description of a
 /// session: [`build`](SessionSpec::build) stands it up and
@@ -300,20 +317,7 @@ impl SessionSpec {
     /// order), flashed with the firmware. Assembly failures surface as
     /// [`EdbError::Device`].
     pub fn build(&self) -> Result<DebugSession, EdbError> {
-        let image = self
-            .firmware
-            .as_ref()
-            .map(|fw| {
-                let source = if fw.wrap {
-                    crate::libedb::wrap_program(&fw.source)
-                } else {
-                    fw.source.clone()
-                };
-                edb_mcu::asm::assemble(&source).map_err(|e| EdbError::Device {
-                    detail: format!("firmware does not assemble: {e}"),
-                })
-            })
-            .transpose()?;
+        let image = self.firmware.as_ref().map(Firmware::assemble).transpose()?;
         let mut builder = SystemBuilder::new(self.device)
             .seed(self.seed)
             .edb_config(self.edb);

@@ -9,6 +9,7 @@
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize};
 
 /// A source of harvested energy.
 ///
@@ -258,33 +259,29 @@ impl Harvester for RfField {
     }
 
     fn save_state(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("distance".into()),
-                serde::Value::F64(self.distance),
-            ),
-            (
-                serde::Value::Str("carrier_on".into()),
-                serde::Value::Bool(self.carrier_on),
-            ),
-            (
-                serde::Value::Str("modulating".into()),
-                serde::Value::Bool(self.modulating),
-            ),
-        ])
+        RfFieldState {
+            distance: self.distance,
+            carrier_on: self.carrier_on,
+            modulating: self.modulating,
+        }
+        .to_value()
     }
 
     fn load_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
-        let field = |name| {
-            state
-                .get_field(name)
-                .ok_or_else(|| serde::DeError::new(format!("RfField state missing `{name}`")))
-        };
-        self.distance = serde::Deserialize::from_value(field("distance")?)?;
-        self.carrier_on = serde::Deserialize::from_value(field("carrier_on")?)?;
-        self.modulating = serde::Deserialize::from_value(field("modulating")?)?;
+        let state = RfFieldState::from_value(state)?;
+        self.distance = state.distance;
+        self.carrier_on = state.carrier_on;
+        self.modulating = state.modulating;
         Ok(())
     }
+}
+
+/// [`RfField`]'s run state: the knobs the reader turns mid-run.
+#[derive(Serialize, Deserialize)]
+struct RfFieldState {
+    distance: f64,
+    carrier_on: bool,
+    modulating: bool,
 }
 
 /// A slowly varying solar/indoor-light source with stochastic cloud or
@@ -339,34 +336,29 @@ impl Harvester for SolarHarvester {
     }
 
     fn save_state(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("occlusion".into()),
-                serde::Value::F64(self.occlusion),
-            ),
-            (
-                serde::Value::Str("next_occlusion_change".into()),
-                serde::Serialize::to_value(&self.next_occlusion_change),
-            ),
-            (
-                serde::Value::Str("rng".into()),
-                serde::Serialize::to_value(&self.rng),
-            ),
-        ])
+        SolarState {
+            occlusion: self.occlusion,
+            next_occlusion_change: self.next_occlusion_change,
+            rng: self.rng.clone(),
+        }
+        .to_value()
     }
 
     fn load_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
-        let field = |name| {
-            state.get_field(name).ok_or_else(|| {
-                serde::DeError::new(format!("SolarHarvester state missing `{name}`"))
-            })
-        };
-        self.occlusion = serde::Deserialize::from_value(field("occlusion")?)?;
-        self.next_occlusion_change =
-            serde::Deserialize::from_value(field("next_occlusion_change")?)?;
-        self.rng = serde::Deserialize::from_value(field("rng")?)?;
+        let state = SolarState::from_value(state)?;
+        self.occlusion = state.occlusion;
+        self.next_occlusion_change = state.next_occlusion_change;
+        self.rng = state.rng;
         Ok(())
     }
+}
+
+/// [`SolarHarvester`]'s run state: the occlusion schedule and its RNG.
+#[derive(Serialize, Deserialize)]
+struct SolarState {
+    occlusion: f64,
+    next_occlusion_change: SimTime,
+    rng: StdRng,
 }
 
 /// Multiplicative slow fading around an inner harvester.
@@ -428,34 +420,32 @@ impl<H: Harvester> Harvester for Fading<H> {
     }
 
     fn save_state(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                serde::Value::Str("factor".into()),
-                serde::Value::F64(self.factor),
-            ),
-            (
-                serde::Value::Str("next_update".into()),
-                serde::Serialize::to_value(&self.next_update),
-            ),
-            (
-                serde::Value::Str("rng".into()),
-                serde::Serialize::to_value(&self.rng),
-            ),
-            (serde::Value::Str("inner".into()), self.inner.save_state()),
-        ])
+        FadingState {
+            factor: self.factor,
+            next_update: self.next_update,
+            rng: self.rng.clone(),
+            inner: self.inner.save_state(),
+        }
+        .to_value()
     }
 
     fn load_state(&mut self, state: &serde::Value) -> Result<(), serde::DeError> {
-        let field = |name| {
-            state
-                .get_field(name)
-                .ok_or_else(|| serde::DeError::new(format!("Fading state missing `{name}`")))
-        };
-        self.factor = serde::Deserialize::from_value(field("factor")?)?;
-        self.next_update = serde::Deserialize::from_value(field("next_update")?)?;
-        self.rng = serde::Deserialize::from_value(field("rng")?)?;
-        self.inner.load_state(field("inner")?)
+        let state = FadingState::from_value(state)?;
+        self.factor = state.factor;
+        self.next_update = state.next_update;
+        self.rng = state.rng;
+        self.inner.load_state(&state.inner)
     }
+}
+
+/// [`Fading`]'s run state: the fading walk, its RNG, and the inner
+/// source's own state.
+#[derive(Serialize, Deserialize)]
+struct FadingState {
+    factor: f64,
+    next_update: SimTime,
+    rng: StdRng,
+    inner: serde::Value,
 }
 
 /// Deterministic on/off gating around an inner harvester: the source

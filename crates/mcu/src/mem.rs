@@ -46,9 +46,10 @@ const DIRTY_LIMBS: usize = SRAM_WORDS / 64;
 /// decode at address `pc` depends on the bytes `pc ..= pc + 3` only.
 const MAX_INSTR_BYTES: u16 = 4;
 
-/// Number of direct-mapped decode-cache slots (8 KiB of slots — small
-/// enough to live in L1, to clone warm, and to flush in full on a
-/// power cycle; hot loops on this class of MCU are far smaller).
+/// Number of direct-mapped decode-cache slots (16 KiB of 16-byte
+/// slots — small enough to live in L1, to clone warm, and to flush in
+/// full on a power cycle; hot loops on this class of MCU are far
+/// smaller).
 const DECODE_SLOTS: usize = 1024;
 
 /// Sentinel tag for an empty slot. `0xFFFF` can never tag a real entry
@@ -96,7 +97,7 @@ const EMPTY_SLOT: DecodeSlot = DecodeSlot {
 ///   SRAM);
 /// * a power cycle invalidates every entry that read SRAM bytes.
 ///
-/// Clones carry the warm table (8 KiB memcpy — snapshot/replay analyses
+/// Clones carry the warm table (16 KiB memcpy — snapshot/replay analyses
 /// clone devices constantly, and the entries stay valid because the
 /// memory bytes they decode are cloned with them).
 #[derive(Clone)]

@@ -1,7 +1,7 @@
 //! `edb-serve`: the debugger-as-a-service session server.
 //!
 //! Hosts any number of simulated intermittent targets behind
-//! newline-delimited JSON-RPC 2.0. Connect with `edb-tui`, a line of
+//! newline-delimited JSON-RPC 2.0. Connect with `edb tui`, a line of
 //! `nc`, or the `serve-replay` transcript tool.
 //!
 //! ```text

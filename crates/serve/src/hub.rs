@@ -19,101 +19,18 @@
 use crate::rpc::{
     self, duration, notification_line, obj, param, parse_request, required, RpcError, RpcRequest,
 };
+use edb_apps::registry;
 use edb_core::fleet::{FleetConfig, FleetSim};
 use edb_core::replay::{verify_fleet, Recording};
 use edb_core::{
-    ChannelFaultConfig, DebugRequest, DebugResponse, DebugSession, FleetOp, FleetSpec, FleetTape,
-    HarvesterSpec, SessionSpec, WorldSpec,
+    ChannelFaultConfig, DebugRequest, DebugResponse, DebugSession, Firmware, FleetOp, FleetSpec,
+    FleetTape, HarvesterSpec, SessionSpec, WorldSpec,
 };
 use edb_energy::SimTime;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Firmware presets a client can name in `create` instead of shipping
-/// assembly source, as `(name, source)`. Each is a small instrumented
-/// application over the `libEDB` runtime, and every one wires the
-/// energy-breakpoint ISR vector so `arm_energy_guard` is safe against
-/// any of them.
-pub const FIRMWARE_PRESETS: &[(&str, &str)] = &[
-    // Asserts ONCE at boot (so `wait_session_ms` catches an open
-    // session), then — after the host resumes it — counts in FRAM,
-    // pulsing watchpoint 2 every 256 iterations.
-    (
-        "assert",
-        r#"
-            .org 0x4400
-        main:
-            movi sp, 0x2400
-            movi r1, 0x6000
-            movi r0, 0x1101
-            st   [r1], r0
-            movi r0, 1
-            call __edb_assert_fail
-        loop:
-            ld   r0, [r1]
-            add  r0, 1
-            st   [r1], r0
-            mov  r2, r0
-            and  r2, 0xFF
-            jnz  loop
-            movi r0, 2
-            call __edb_watchpoint
-            jmp  loop
-            .org 0xFFFC
-            .word __edb_isr
-            .org 0xFFFE
-            .word main
-            "#,
-    ),
-    (
-        "spin",
-        r#"
-            .org 0x4400
-        main:
-            movi sp, 0x2400
-            movi r1, 0x6000
-            movi r0, 0
-        loop:
-            add  r0, 1
-            st   [r1], r0
-            jmp  loop
-            .org 0xFFFC
-            .word __edb_isr
-            .org 0xFFFE
-            .word main
-            "#,
-    ),
-    (
-        "guard",
-        r#"
-            .org 0x4400
-        main:
-            movi sp, 0x2400
-            movi r1, 0x6000
-            movi r0, 0
-        loop:
-            add  r0, 1
-            push r0
-            push r1
-            call __edb_guard_begin
-            pop  r1
-            pop  r0
-            st   [r1], r0
-            push r0
-            push r1
-            call __edb_guard_end
-            pop  r1
-            pop  r0
-            jmp  loop
-            .org 0xFFFC
-            .word __edb_isr
-            .org 0xFFFE
-            .word main
-            "#,
-    ),
-];
 
 /// Event tags excluded from an event subscription unless the client
 /// names tags explicitly: the passive `Vcap` stream fires at the sample
@@ -717,26 +634,30 @@ impl SessionHub {
         // A session is built from its rebuildable `SessionSpec`, so the
         // hub can record it: the spec is embedded in the tape and the
         // recording replays in a fresh process.
-        let source = match (param::<&str>(p, "firmware")?, param(p, "source")?) {
-            (Some(preset), _) => FIRMWARE_PRESETS
-                .iter()
-                .find(|(name, _)| *name == preset)
-                .map(|(_, source)| *source)
+        let firmware = match (param::<&str>(p, "firmware")?, param::<&str>(p, "source")?) {
+            (Some(name), _) => registry::find(name)
+                .map(|app| app.firmware.clone())
                 .ok_or_else(|| {
-                    let names: Vec<&str> = FIRMWARE_PRESETS.iter().map(|(name, _)| *name).collect();
+                    let names: Vec<&str> = registry::apps().iter().map(|app| app.name).collect();
                     RpcError::invalid_params(format!(
-                        "unknown firmware preset `{preset}` (have: {})",
+                        "unknown firmware `{name}` (have: {})",
                         names.join(", ")
                     ))
                 })?,
-            (None, Some(source)) => source,
+            (None, Some(source)) => Firmware {
+                source: String::from(source),
+                wrap: true,
+            },
             (None, None) => {
                 return Err(RpcError::invalid_params(
-                    "need `firmware` (a preset name) or `source` (assembly text)",
+                    "need `firmware` (a bundled app's name) or `source` (assembly text)",
                 ))
             }
         };
-        let mut spec = SessionSpec::bench(source);
+        let mut spec = SessionSpec {
+            firmware: Some(firmware),
+            ..SessionSpec::bench("")
+        };
         spec.seed = param(p, "seed")?.unwrap_or(spec.seed);
         if let Some(h) = param::<&Value>(p, "harvester")? {
             spec.world = WorldSpec::Harvester {
@@ -900,7 +821,13 @@ mod tests {
         let mut conn = ConnState::new();
         // No wait_session: no open session, so a read is a typed
         // NoSession error, not a string.
-        call(&hub, &mut conn, 1, "create", r#"{"firmware":"spin"}"#);
+        call(
+            &hub,
+            &mut conn,
+            1,
+            "create",
+            r#"{"firmware":"spin-volatile"}"#,
+        );
         let err = call(&hub, &mut conn, 2, "read", r#"{"addr":24576}"#);
         assert!(err.contains(r#""code":-32002"#), "{err}");
         assert!(err.contains("NoSession"), "{err}");
@@ -918,7 +845,7 @@ mod tests {
             &mut conn,
             1,
             "create",
-            r#"{"firmware":"spin","record":false}"#,
+            r#"{"firmware":"spin-volatile","record":false}"#,
         );
         let err = call(&hub, &mut conn, 2, "step_back", r#"{"n":1}"#);
         assert!(err.contains(r#""code":-32012"#), "{err}");
@@ -939,9 +866,9 @@ mod tests {
             &mut conn,
             1,
             "create",
-            r#"{"firmware":"spin","record":false}"#,
+            r#"{"firmware":"spin-volatile","record":false}"#,
         );
-        // The spin preset loops forever: the honest verdict from its
+        // The spin-volatile app loops forever: the honest verdict from its
         // entry is unbounded, with the CFG fully recovered.
         let report = call(&hub, &mut conn, 2, "analyze", r#"{"name":"main"}"#);
         assert!(report.contains(r#""wcec_cycles":null"#), "{report}");
@@ -1041,16 +968,32 @@ mod tests {
         // are rejected: never handed to the engine, never read as absent.
         let sessions = hub.session_count();
         for (id, method, params) in [
-            (18, "create", r#"{"firmware":"spin","harvester":{"r":0}}"#),
-            (19, "create", r#"{"firmware":"spin","rfid":{"distance":0}}"#),
-            (20, "create", r#"{"firmware":"spin","record":"no"}"#),
+            (
+                18,
+                "create",
+                r#"{"firmware":"spin-volatile","harvester":{"r":0}}"#,
+            ),
+            (
+                19,
+                "create",
+                r#"{"firmware":"spin-volatile","rfid":{"distance":0}}"#,
+            ),
+            (
+                20,
+                "create",
+                r#"{"firmware":"spin-volatile","record":"no"}"#,
+            ),
             (
                 21,
                 "create",
                 r#"{"firmware":"assert","wait_session_ms":"2000"}"#,
             ),
-            (22, "create", r#"{"firmware":"spin","seed":"7"}"#),
-            (23, "create", r#"{"firmware":"spin","harvester":5}"#),
+            (22, "create", r#"{"firmware":"spin-volatile","seed":"7"}"#),
+            (
+                23,
+                "create",
+                r#"{"firmware":"spin-volatile","harvester":5}"#,
+            ),
             (24, "step", r#"{"count":"3"}"#),
             (25, "subscribe_events", r#"{"tags":"energy"}"#),
             (26, "disasm", r#"{"addr":99999}"#),

@@ -32,8 +32,8 @@
 //!   tool, and tests).
 //! * [`transcript`] — scripted-session transcripts: parse, replay,
 //!   record, diff.
-//! * [`tui`] — the terminal frontend: a frame renderer and the
-//!   interactive client loop behind `edb-tui`.
+//! * [`tui`] — the terminal frontend's frame renderer and view state,
+//!   behind `edb tui`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

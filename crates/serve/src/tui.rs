@@ -1,5 +1,5 @@
 //! The terminal frontend: a hand-rolled frame renderer and the view
-//! state behind the `edb-tui` binary.
+//! state behind the `edb tui` frontend.
 //!
 //! Offline stand-in note: the natural crate here is `ratatui`, but the
 //! workspace vendors no TUI dependency, so this module draws fixed-size

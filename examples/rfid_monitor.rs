@@ -5,31 +5,15 @@
 //! cargo run --release --example rfid_monitor
 //! ```
 
-use edb_suite::apps::rfid_fw;
-use edb_suite::core::{DebugEvent, System};
-use edb_suite::device::DeviceConfig;
+use edb_suite::apps::{registry, rfid_fw};
+use edb_suite::core::DebugEvent;
 use edb_suite::energy::SimTime;
-use edb_suite::rfid::ReaderConfig;
 
 fn main() {
     // The paper's bench: reader at 1 m, continuously inventorying; the
-    // tag decodes queries in software and backscatters its EPC.
-    let device_config = DeviceConfig {
-        i_active: 0.95e-3, // the RFID firmware mostly idles at the demodulator
-        ..DeviceConfig::wisp5()
-    };
-    let reader_config = ReaderConfig {
-        query_period: SimTime::from_ms(260),
-        rep_gap: SimTime::from_ms(65),
-        reps_per_round: 3,
-        ..ReaderConfig::paper_setup()
-    };
-    let mut sys = System::builder(device_config)
-        .rfid(1.0)
-        .reader_config(reader_config)
-        .seed(7)
-        .build();
-    sys.flash(&rfid_fw::image());
+    // tag decodes queries in software and backscatters its EPC (the
+    // registry's `rfid` app in its reader world).
+    let mut sys = registry::find("rfid").expect("bundled app").system(7);
     sys.run_for(SimTime::from_secs(10));
 
     let edb = sys.edb().expect("attached");

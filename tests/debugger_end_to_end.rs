@@ -1,21 +1,19 @@
 //! End-to-end integration tests of the debugger itself: every Table 1
 //! primitive exercised against live intermittent targets.
 
+use edb_suite::apps::registry::{self, World};
 use edb_suite::apps::{activity, linked_list as ll};
 use edb_suite::core::{libedb, Console, DebugEvent, System};
-use edb_suite::device::DeviceConfig;
-use edb_suite::energy::{Fading, SimTime, TheveninSource};
+use edb_suite::energy::SimTime;
 
-fn harvested(seed: u64) -> Fading<TheveninSource> {
-    Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, seed)
+/// A bundled app flashed on the console's harvested bench.
+fn bench(app: &str, seed: u64) -> System {
+    registry::find(app).expect("bundled app").system(seed)
 }
 
 #[test]
 fn keep_alive_assert_preempts_the_crash_and_allows_diagnosis() {
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(0))
-        .build();
-    sys.flash(&ll::image(ll::Variant::Assert));
+    let mut sys = bench("linked-list-assert", 0);
     assert!(
         sys.run_until(SimTime::from_secs(30), |s| {
             s.edb().is_some_and(|e| e.session_active())
@@ -65,9 +63,7 @@ fn energy_breakpoint_fires_at_the_threshold() {
         "#,
     ))
     .expect("assembles");
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(2))
-        .build();
+    let mut sys = World::Harvested.system(2);
     sys.flash(&image);
     sys.edb_mut().arm_energy_breakpoint(2.1);
     sys.charge_to(2.4).expect("charges");
@@ -109,9 +105,7 @@ fn combined_breakpoint_respects_the_energy_condition() {
         "#,
     ))
     .expect("assembles");
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(3))
-        .build();
+    let mut sys = World::Harvested.system(3);
     sys.flash(&image);
     // Enabled, but only below 2.0 V: iterations above that sail through.
     {
@@ -152,9 +146,7 @@ fn edb_printf_reaches_the_host_intact() {
         "#,
     ))
     .expect("assembles");
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(4))
-        .build();
+    let mut sys = World::Harvested.system(4);
     sys.flash(&image);
     let got = sys.run_until(SimTime::from_secs(2), |s| {
         s.edb().is_some_and(|e| e.log().printf_lines().len() >= 2)
@@ -168,10 +160,7 @@ fn edb_printf_reaches_the_host_intact() {
 
 #[test]
 fn console_drives_a_full_session() {
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(0))
-        .build();
-    sys.flash(&ll::image(ll::Variant::Assert));
+    let mut sys = bench("linked-list-assert", 0);
     let mut console = Console::new();
     console.execute("charge 2.4", &mut sys).expect("charge");
     assert!(sys.run_until(SimTime::from_secs(30), |s| {
@@ -192,10 +181,7 @@ fn console_drives_a_full_session() {
 
 #[test]
 fn watchpoints_stream_with_energy_snapshots() {
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(5))
-        .build();
-    sys.flash(&activity::image(activity::Variant::NoPrint));
+    let mut sys = bench("activity", 5);
     sys.run_for(SimTime::from_secs(1));
     let edb = sys.edb().unwrap();
     let hits = edb.log().watchpoint_hits(activity::WP_ITER_START);
@@ -214,10 +200,7 @@ fn watchpoints_stream_with_energy_snapshots() {
 
 #[test]
 fn guard_exit_event_restores_close_to_entry_level() {
-    let mut sys = System::builder(DeviceConfig::wisp5())
-        .harvester(harvested(6))
-        .build();
-    sys.flash(&activity::image(activity::Variant::EdbPrintf));
+    let mut sys = bench("activity-printf", 6);
     sys.run_for(SimTime::from_secs(2));
     let edb = sys.edb().unwrap();
     let mut entries = Vec::new();

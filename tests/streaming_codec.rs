@@ -14,7 +14,7 @@ use edb_suite::apps::{activity, fib, linked_list, rfid_fw};
 use edb_suite::core::replay::{HarvesterSpec, SessionOp, SessionSpec, WorldSpec};
 use edb_suite::core::{ChannelFaultConfig, DebugRequest, RequestId, System};
 use edb_suite::device::DeviceConfig;
-use edb_suite::energy::{Fading, SimTime, TheveninSource};
+use edb_suite::energy::{Fading, Harvester, RfField, SimTime, SolarHarvester, TheveninSource};
 use edb_suite::mcu::Image;
 use edb_suite::runtime::ckpt::{CkptConfig, StrategyKind};
 use serde::{Serialize, Value};
@@ -289,3 +289,45 @@ fn depth(v: &Value) -> usize {
         _ => 0,
     }
 }
+
+/// Each stateful harvester's `save_state` keeps the bytes recordings
+/// already hold: the run-state structs derive the map the hand-built
+/// trees spelled out, field for field. The hex is the canonical
+/// encoding of the same states before the codec was derived.
+#[test]
+fn harvester_run_states_keep_their_bytes() {
+    let mut rf = RfField::paper_setup();
+    rf.set_distance(2.5);
+    rf.set_carrier(false);
+    rf.set_modulating(true);
+    let mut solar = SolarHarvester::new(3.0, 2000.0, 1.0, 9);
+    let mut fading = Fading::new(TheveninSource::new(3.2, 1500.0), 0.05, 4);
+    let mut stack = Fading::new(SolarHarvester::new(3.0, 2000.0, 1.0, 9), 0.05, 4);
+    for k in 0..500u64 {
+        let t = SimTime::from_us(k * 37);
+        solar.current_into(1.5, t, 1e-6);
+        fading.current_into(1.5, t, 1e-6);
+        stack.current_into(1.5, t, 1e-6);
+    }
+    let pins: [(&str, &mut dyn Harvester, &str); 4] = [
+        ("RfField", &mut rf, RF_STATE),
+        ("SolarHarvester", &mut solar, SOLAR_STATE),
+        ("Fading<TheveninSource>", &mut fading, FADING_STATE),
+        ("Fading<SolarHarvester>", &mut stack, STACK_STATE),
+    ];
+    for (what, harvester, pinned) in pins {
+        let state = harvester.save_state();
+        let hex: String = value_bytes(&state)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, pinned, "{what}: encoded run state");
+        harvester.load_state(&state).expect("own state loads");
+        assert_eq!(harvester.save_state(), state, "{what}: round trip");
+    }
+}
+
+const RF_STATE: &str = "0803000000060800000064697374616e6365050000000000000440060a000000636172726965725f6f6e01060a0000006d6f64756c6174696e6702";
+const SOLAR_STATE: &str = "080300000006090000006f63636c7573696f6e0526f1273454a2da3f06150000006e6578745f6f63636c7573696f6e5f6368616e6765070100000003c0687804000000000603000000726e670363f374ca5961f832";
+const FADING_STATE: &str = "08040000000606000000666163746f7205ad1ddfd98d07e83f060b0000006e6578745f75706461746507010000000320ff1b01000000000603000000726e6703326e59b2fc8b56360605000000696e6e657200";
+const STACK_STATE: &str = "08040000000606000000666163746f7205ad1ddfd98d07e83f060b0000006e6578745f75706461746507010000000320ff1b01000000000603000000726e6703326e59b2fc8b56360605000000696e6e6572080300000006090000006f63636c7573696f6e0526f1273454a2da3f06150000006e6578745f6f63636c7573696f6e5f6368616e6765070100000003c0687804000000000603000000726e670363f374ca5961f832";
