@@ -94,7 +94,6 @@ fn one_trial(config: EdbConfig, image: &edb_mcu::Image, seed: u64) -> Trial {
     let log = sys.edb().expect("attached").log();
     let saved_adc = log
         .events()
-        .iter()
         .rev()
         .find_map(|e| match e.event {
             DebugEvent::EnergyBreakpoint { v_cap, .. } => Some(v_cap),
@@ -103,7 +102,6 @@ fn one_trial(config: EdbConfig, image: &edb_mcu::Image, seed: u64) -> Trial {
         .expect("breakpoint event logged");
     let restored_adc = log
         .events()
-        .iter()
         .rev()
         .find_map(|e| match e.event {
             DebugEvent::SessionClosed { restored_v } => Some(restored_v),

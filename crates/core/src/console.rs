@@ -301,9 +301,9 @@ impl Console {
         let Some(edb) = sys.edb() else {
             return "EDB not attached".to_string();
         };
-        let events = edb.log().events();
+        let log = edb.log();
         let mut out = String::new();
-        for e in events.iter().skip(self.trace_cursor) {
+        for e in log.events_from(self.trace_cursor) {
             let matches = match tag {
                 "io" => matches!(
                     e.event,
@@ -315,7 +315,7 @@ impl Console {
                 let _ = writeln!(out, "{e}");
             }
         }
-        self.trace_cursor = events.len();
+        self.trace_cursor = log.len();
         if out.is_empty() {
             out.push_str("(no new events)\n");
         }

@@ -9,6 +9,7 @@
 use edb_energy::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One observation or action, without its timestamp.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -248,6 +249,13 @@ impl From<LoggedEvent> for edb_obs::EventMark {
 
 /// The append-only event log.
 ///
+/// The log is sealed chunks of [`EventLog::CHUNK`] events, shared
+/// through `Arc`, plus one open tail. A clone (every tape snapshot and
+/// keyframe holds one) copies the tail and shares the sealed chunks, so
+/// it costs at most a chunk of events however long the log grows. It
+/// serializes as one sequence of events, as the flat log it replaced
+/// did.
+///
 /// # Example
 ///
 /// ```
@@ -258,53 +266,81 @@ impl From<LoggedEvent> for edb_obs::EventMark {
 /// log.push(SimTime::from_ms(2), DebugEvent::BrownOut);
 /// assert_eq!(log.with_tag("watchpoint").count(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct EventLog {
-    events: Vec<LoggedEvent>,
+    /// Full chunks, oldest first, each exactly [`EventLog::CHUNK`] long.
+    sealed: Vec<Arc<[LoggedEvent]>>,
+    /// The newest events, fewer than [`EventLog::CHUNK`].
+    tail: Vec<LoggedEvent>,
 }
 
 impl EventLog {
+    /// Events per sealed chunk.
+    pub const CHUNK: usize = 256;
+
     /// Creates an empty log.
-    pub fn new() -> Self {
-        EventLog::default()
+    pub const fn new() -> Self {
+        EventLog {
+            sealed: Vec::new(),
+            tail: Vec::new(),
+        }
     }
 
     /// Appends an event at `at`.
     pub fn push(&mut self, at: SimTime, event: DebugEvent) {
-        self.events.push(LoggedEvent { at, event });
+        self.tail.push(LoggedEvent { at, event });
+        if self.tail.len() == Self::CHUNK {
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(Self::CHUNK));
+            self.sealed.push(full.into());
+        }
     }
 
     /// All events in arrival order.
-    pub fn events(&self) -> &[LoggedEvent] {
-        &self.events
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &LoggedEvent> {
+        self.sealed.iter().flat_map(|c| c.iter()).chain(&self.tail)
+    }
+
+    /// The events from the `from`-th on, in arrival order (none when
+    /// `from` is past the end), found without walking the ones before.
+    pub fn events_from(&self, from: usize) -> impl Iterator<Item = &LoggedEvent> {
+        let chunk = from / Self::CHUNK;
+        let tail = if chunk <= self.sealed.len() {
+            &self.tail[..]
+        } else {
+            &[]
+        };
+        self.sealed
+            .get(chunk..)
+            .unwrap_or_default()
+            .iter()
+            .flat_map(|c| c.iter())
+            .chain(tail)
+            .skip(from % Self::CHUNK)
     }
 
     /// Number of logged events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.sealed.len() * Self::CHUNK + self.tail.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Events matching a tag (see [`DebugEvent::tag`]).
     pub fn with_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a LoggedEvent> + 'a {
-        self.events.iter().filter(move |e| e.event.tag() == tag)
+        self.events().filter(move |e| e.event.tag() == tag)
     }
 
     /// Events within the half-open time window `[from, to)`.
     pub fn window(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &LoggedEvent> {
-        self.events
-            .iter()
-            .filter(move |e| e.at >= from && e.at < to)
+        self.events().filter(move |e| e.at >= from && e.at < to)
     }
 
     /// All printf lines in order.
     pub fn printf_lines(&self) -> Vec<&str> {
-        self.events
-            .iter()
+        self.events()
             .filter_map(|e| match &e.event {
                 DebugEvent::Printf { line } => Some(line.as_str()),
                 _ => None,
@@ -315,8 +351,7 @@ impl EventLog {
     /// Timestamps of watchpoint hits for a given ID, with their energy
     /// snapshots — the raw material of the paper's Figure 11 profile.
     pub fn watchpoint_hits(&self, id: u8) -> Vec<(SimTime, f64)> {
-        self.events
-            .iter()
+        self.events()
             .filter_map(|e| match e.event {
                 DebugEvent::Watchpoint { id: got, v_cap } if got == id => Some((e.at, v_cap)),
                 _ => None,
@@ -327,7 +362,61 @@ impl EventLog {
     /// Drops all events (the console's implicit behaviour when switching
     /// trace streams).
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.sealed.clear();
+        self.tail.clear();
+    }
+
+    /// The sealed chunks, to see which a clone shares.
+    #[cfg(test)]
+    pub(crate) fn sealed(&self) -> &[Arc<[LoggedEvent]>] {
+        &self.sealed
+    }
+}
+
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.events().eq(other.events())
+    }
+}
+
+impl fmt::Debug for EventLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Events<'a>(&'a EventLog);
+        impl fmt::Debug for Events<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.events()).finish()
+            }
+        }
+        f.debug_struct("EventLog")
+            .field("events", &Events(self))
+            .finish()
+    }
+}
+
+// By hand, with the layout a struct of one `events: Vec<LoggedEvent>`
+// derives, so recordings and digests keep their bytes.
+impl Serialize for EventLog {
+    fn serialize(&self, sink: &mut dyn serde::Sink) {
+        sink.map(1);
+        sink.str("events");
+        sink.seq(self.len());
+        for event in self.events() {
+            event.serialize(sink);
+        }
+    }
+}
+
+impl Deserialize for EventLog {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        if v.as_map().is_none() {
+            return Err(serde::DeError::expected("map", "EventLog"));
+        }
+        let events = v.get_field("events").unwrap_or(&serde::Value::Null);
+        let mut log = EventLog::new();
+        for LoggedEvent { at, event } in Vec::<LoggedEvent>::from_value(events)? {
+            log.push(at, event);
+        }
+        Ok(log)
     }
 }
 
@@ -387,6 +476,86 @@ mod tests {
         let hits = log.watchpoint_hits(1);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].1, 2.3);
+    }
+
+    /// The flat log [`EventLog`] replaced, with its derived layout.
+    #[derive(Serialize)]
+    struct VecLog {
+        events: Vec<LoggedEvent>,
+    }
+
+    /// Event `k` of a test log: every third a watchpoint, the rest
+    /// printf lines naming `k`.
+    fn event(k: usize) -> LoggedEvent {
+        let event = if k.is_multiple_of(3) {
+            DebugEvent::Watchpoint {
+                id: 1,
+                v_cap: k as f64,
+            }
+        } else {
+            DebugEvent::Printf {
+                line: format!("k={k}"),
+            }
+        };
+        LoggedEvent {
+            at: SimTime::from_us(k as u64),
+            event,
+        }
+    }
+
+    #[test]
+    fn chunked_log_reads_and_encodes_as_the_flat_log() {
+        const C: usize = EventLog::CHUNK;
+        for len in [0, C - 1, C, C + 1, 3 * C] {
+            let flat: Vec<LoggedEvent> = (0..len).map(event).collect();
+            let mut log = EventLog::new();
+            for e in &flat {
+                log.push(e.at, e.event.clone());
+            }
+            assert_eq!(log.len(), len);
+            assert_eq!(log.is_empty(), len == 0);
+            assert_eq!(log.sealed().len(), len / C, "len {len}");
+            assert!(log.events().eq(&flat), "len {len}: order");
+            assert!(log.events().rev().eq(flat.iter().rev()), "len {len}");
+            for from in [0, 1, C - 1, C, C + 1, 2 * C + 5, len, len + 1, 4 * C] {
+                assert!(
+                    log.events_from(from).eq(flat.iter().skip(from)),
+                    "len {len}, from {from}"
+                );
+            }
+            let tagged = flat.iter().filter(|e| e.event.tag() == "watchpoint");
+            assert!(log.with_tag("watchpoint").eq(tagged), "len {len}: with_tag");
+            let reference = VecLog { events: flat };
+            let mut ours = Vec::new();
+            let mut theirs = Vec::new();
+            edb_replay::encode(&log, &mut ours);
+            edb_replay::encode(&reference, &mut theirs);
+            assert!(ours == theirs, "len {len}: serialized bytes differ");
+            assert_eq!(log.to_value(), reference.to_value());
+            assert_eq!(EventLog::from_value(&log.to_value()).unwrap(), log);
+            // A clone shares every sealed chunk.
+            let clone = log.clone();
+            assert_eq!(clone, log);
+            assert!(clone
+                .sealed()
+                .iter()
+                .zip(log.sealed())
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+    }
+
+    #[test]
+    fn cleared_log_starts_over() {
+        let mut log = EventLog::new();
+        for k in 0..EventLog::CHUNK + 3 {
+            let e = event(k);
+            log.push(e.at, e.event);
+        }
+        log.clear();
+        assert!(log.is_empty());
+        assert_eq!(log.events().count(), 0);
+        log.push(SimTime::from_ms(1), DebugEvent::BrownOut);
+        assert_eq!(log.events_from(0).count(), 1);
     }
 
     #[test]

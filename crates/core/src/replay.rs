@@ -518,21 +518,12 @@ pub(crate) struct Tape {
     restore_ns: u64,
 }
 
-/// Bytes per FRAM page a keyframe can share with its predecessor.
-const KEYFRAME_PAGE: usize = 1024;
-
 /// An in-memory restore point: the session's typed state at `now_ns`
 /// and where the tape stood then.
 #[derive(Debug)]
 struct Keyframe {
     now_ns: u64,
-    /// The state, its FRAM image moved out into `fram`.
     state: Box<SessionState>,
-    /// The FRAM image in [`KEYFRAME_PAGE`]-byte pages, each shared with
-    /// the previous keyframe's page when their bytes are equal: between
-    /// two keyframes a program rewrites few of its 47 pages, and the
-    /// image is most of a snapshot's weight.
-    fram: Vec<Arc<[u8]>>,
     /// Tape entries written before it. Taken inside a stepping op
     /// (`mid_op`), the last of them is that op's entry.
     entries: usize,
@@ -591,25 +582,14 @@ pub(crate) fn push_keyframe(session: &mut DebugSession, mid_op: bool) {
     if session.tape.is_none() {
         return;
     }
-    let Some(mut state) = snapshot_state(session) else {
+    let Some(state) = snapshot_state(session) else {
         return;
     };
-    let image = state.0.mem_mut().replace_fram(Vec::new());
     let now_ns = session.now().as_ns();
     let tape = session.tape.as_mut().expect("checked above");
-    let prev = tape.keyframes.last().map_or(&[][..], |kf| &kf.fram[..]);
-    let fram = image
-        .chunks(KEYFRAME_PAGE)
-        .enumerate()
-        .map(|(i, page)| match prev.get(i) {
-            Some(shared) if **shared == *page => Arc::clone(shared),
-            _ => Arc::from(page),
-        })
-        .collect();
     tape.keyframes.push(Keyframe {
         now_ns,
         state: Box::new(state),
-        fram,
         entries: tape.entries.len(),
         ops_since_boundary: tape.ops_since_boundary,
         mid_op,
@@ -677,8 +657,30 @@ impl Serialize for SessionState {
 }
 
 /// The session's full state, or `None` for worlds that cannot snapshot.
+/// It shares every unchanged FRAM page with the tape's latest restore
+/// point.
 fn snapshot_state(session: &DebugSession) -> Option<SessionState> {
-    session.system().snapshot().map(SessionState)
+    let prev = session.tape.as_ref().and_then(latest_state);
+    session.system().snapshot_after(prev).map(SessionState)
+}
+
+/// The state of the tape's latest restore point: its last tape snapshot
+/// or, when taken after that, its last keyframe.
+fn latest_state(tape: &Tape) -> Option<&SystemState> {
+    let snapshot = tape
+        .entries
+        .iter()
+        .enumerate()
+        .rev()
+        .find_map(|(i, entry)| match entry {
+            Entry::Snapshot { state, .. } => Some((i, state)),
+            _ => None,
+        });
+    match (snapshot, tape.keyframes.last()) {
+        (Some((i, _)), Some(kf)) if kf.entries > i => Some(&kf.state.0),
+        (Some((_, state)), _) => state.downcast::<SessionState>().map(|s| &s.0),
+        (None, kf) => kf.map(|kf| &kf.state.0),
+    }
 }
 
 /// Restores a snapshot entry's state: shared typed state from a live
@@ -1010,9 +1012,7 @@ impl DebugSession {
                 restore_snapshot(self, state).map_err(failed)
             }
             Restore::Keyframe(k) => {
-                let kf = &tape.keyframes[k];
-                let mut state = kf.state.0.clone();
-                state.mem_mut().replace_fram(kf.fram.concat());
+                let state = tape.keyframes[k].state.0.clone();
                 self.system_mut().install(state).map_err(failed)
             }
             Restore::Spec => {
@@ -1056,7 +1056,7 @@ impl DebugSession {
         let now_ns = self.now().as_ns();
         let stop = self
             .events()
-            .iter()
+            .events()
             .rev()
             .find(|e| {
                 e.at.as_ns() < now_ns
@@ -1699,7 +1699,7 @@ mod tests {
         // at exactly that time.
         assert!(
             s.events()
-                .iter()
+                .events()
                 .any(|e| e.at == stop && e.event.tag() == "assert"),
             "assert event present at the landing time"
         );
@@ -1982,6 +1982,110 @@ mod tests {
         assert!(s.keyframe_times().is_empty());
         assert_eq!(rec.snapshot_count(), 2, "start and seal only");
         verify(&rec).expect("verifies");
+    }
+
+    /// A fresh recording of `spec` run through the ops among
+    /// `entries[..upto]`, the last cut at `cut_ns` when given: the state
+    /// a restore point taken there holds.
+    fn rerun(
+        spec: &SessionSpec,
+        stride: u64,
+        entries: &[Entry],
+        upto: usize,
+        cut_ns: Option<u64>,
+    ) -> DebugSession {
+        let mut s = spec.record(stride).expect("builds");
+        for (i, entry) in entries[..upto].iter().enumerate() {
+            let Entry::Op { now_ns, value } = entry else {
+                continue;
+            };
+            let op = SessionOp::from_value(value).expect("op decodes");
+            match cut_ns.filter(|_| i + 1 == upto) {
+                Some(cut_ns) => {
+                    if let Some(cut) = op.cut_at(*now_ns, cut_ns) {
+                        cut.apply(&mut s);
+                    }
+                }
+                None => op.apply(&mut s),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn restore_points_share_unchanged_pages_and_sealed_chunks() {
+        for stride in [3, 32] {
+            let (mut s, spec) = keyframed_run(stride);
+            // Long enough for the event log to seal chunks, with
+            // more FRAM writes between restore points.
+            for k in 0..6u16 {
+                let _ = s.run_until_session(SimTime::from_ms(20));
+                let _ = s.perform(DebugRequest::WriteWord {
+                    addr: 0x7000 + 0x400 * k,
+                    value: k,
+                });
+                let _ = s.resume();
+                s.advance(SimTime::from_ms(7));
+            }
+            let tape = s.tape.as_ref().expect("recording");
+            // Each restore point in the order taken: the tape entries
+            // before it, snapshots after keyframes at the same place.
+            let mut order: Vec<(usize, bool, Option<&Keyframe>, &SessionState)> = tape
+                .keyframes
+                .iter()
+                .map(|kf| (kf.entries, false, Some(kf), &*kf.state))
+                .collect();
+            for (i, entry) in tape.entries.iter().enumerate() {
+                if let Entry::Snapshot { state, .. } = entry {
+                    let state = state.downcast::<SessionState>().expect("typed state");
+                    order.push((i, true, None, state));
+                }
+            }
+            order.sort_by_key(|&(at, snap, ..)| (at, snap));
+            let snapshots = order.iter().filter(|p| p.1).count();
+            assert!(tape.keyframes.len() >= 4 && snapshots >= 2);
+
+            let (mut shared, mut rewritten, mut chunks) = (0, 0, 0);
+            for pair in order.windows(2) {
+                let (a, b) = (&pair[0].3 .0, &pair[1].3 .0);
+                let pages = a.mem().fram_pages().iter().zip(b.mem().fram_pages());
+                for (k, (pa, pb)) in pages.enumerate() {
+                    if pa[..] == pb[..] {
+                        assert!(Arc::ptr_eq(pa, pb), "stride {stride}: page {k} copied");
+                        shared += 1;
+                    } else {
+                        rewritten += 1;
+                    }
+                }
+                let (la, lb) = (a.edb().expect("edb").log(), b.edb().expect("edb").log());
+                assert!(la.sealed().len() <= lb.sealed().len());
+                for (ca, cb) in la.sealed().iter().zip(lb.sealed()) {
+                    assert!(Arc::ptr_eq(ca, cb), "stride {stride}: event chunk copied");
+                    chunks += 1;
+                }
+            }
+            assert!(shared > 0 && rewritten > 0 && chunks > 0, "stride {stride}");
+
+            // Restoring each point lands on the state a fresh run to it
+            // reaches.
+            let rec = s.export_recording().expect("recording");
+            for &(at, _, kf, state) in &order {
+                let cut_ns = kf.filter(|kf| kf.mid_op).map(|kf| kf.now_ns);
+                let reference = rerun(&spec, stride, &rec.entries, at, cut_ns);
+                let mut restored = spec.build().expect("builds");
+                restored.system_mut().restore(&state.0).expect("restores");
+                assert_eq!(
+                    restored.system().state_digest(),
+                    reference.system().state_digest(),
+                    "stride {stride}: restore point at entry {at}"
+                );
+                assert_eq!(
+                    digest(&restored.system().save_state()),
+                    digest(&reference.system().save_state()),
+                    "stride {stride}: restore point at entry {at}"
+                );
+            }
+        }
     }
 
     #[test]

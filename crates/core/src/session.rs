@@ -22,7 +22,7 @@
 
 use crate::debugger::{DebugRequest, DebugResponse, Edb, RequestId, SessionPoll};
 use crate::error::EdbError;
-use crate::events::LoggedEvent;
+use crate::events::EventLog;
 use crate::replay::SessionOp;
 use crate::system::System;
 use edb_energy::SimTime;
@@ -259,14 +259,13 @@ impl DebugSession {
         self.sys.edb().map_or_else(Vec::new, Edb::energy_thresholds)
     }
 
-    /// Every event the debugger has logged so far. Frontends keep their
-    /// own cursor into this slice, so multiple observers (connections)
+    /// Every event the debugger has logged so far (an empty log without
+    /// a debugger). Frontends keep their own cursor into it
+    /// ([`EventLog::events_from`]), so multiple observers (connections)
     /// can stream the same session independently.
-    pub fn events(&self) -> &[LoggedEvent] {
-        match self.sys.edb() {
-            Some(edb) => edb.log().events(),
-            None => &[],
-        }
+    pub fn events(&self) -> &EventLog {
+        static NONE: EventLog = EventLog::new();
+        self.sys.edb().map_or(&NONE, Edb::log)
     }
 
     /// The observational status snapshot.

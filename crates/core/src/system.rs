@@ -836,11 +836,22 @@ impl System {
     /// part of the snapshot: recording is passive by construction, so
     /// replay re-observes rather than restoring observations.
     pub fn snapshot(&self) -> Option<SystemState> {
+        self.snapshot_after(None)
+    }
+
+    /// [`System::snapshot`] as the next of a series of restore points:
+    /// the state shares with `prev`, an earlier one, every FRAM page
+    /// whose bytes are unchanged (see [`edb_mcu::Memory::park`]), and
+    /// the debugger's event log shares its sealed chunks with the live
+    /// log as any clone of it does.
+    pub(crate) fn snapshot_after(&self, prev: Option<&SystemState>) -> Option<SystemState> {
         let World::Harvester(h) = &self.world else {
             return None;
         };
+        let mut device = self.device.clone();
+        device.mem_mut().park(prev.map(|p| p.device.mem()));
         Some(SystemState {
-            device: self.device.clone(),
+            device,
             edb: self.edb.clone(),
             symbols: self.symbols.clone(),
             obs: self.obs.clone(),
@@ -866,6 +877,7 @@ impl System {
         };
         h.load_state(&state.world)?;
         self.device = state.device;
+        self.device.mem_mut().unpark();
         self.edb = state.edb;
         self.symbols = state.symbols;
         self.obs = state.obs;
@@ -969,7 +981,7 @@ impl System {
             && power_edge.is_none()
             && obs.last_powered == Some(powered)
             && !rec.sample_due(device.now())
-            && edb.as_ref().map_or(0, |e| e.log().events().len()) == obs.log_cursor
+            && edb.as_ref().map_or(0, |e| e.log().len()) == obs.log_cursor
             && obs.last_session == Some(edb.as_ref().is_some_and(|e| e.session_active()))
         {
             return;
@@ -1086,11 +1098,11 @@ fn publish_obs_slow(
         // Core / RFID: harvest debugger log entries appended since the
         // last publish.
         if let Some(edb) = edb.as_ref() {
-            let log = edb.log().events();
+            let log = edb.log();
             if obs.log_cursor > log.len() {
                 obs.log_cursor = 0; // the log was cleared; start over
             }
-            for entry in &log[obs.log_cursor..] {
+            for entry in log.events_from(obs.log_cursor) {
                 obs_log_entry(rec, obs, entry);
             }
             obs.log_cursor = log.len();
@@ -1198,8 +1210,9 @@ impl Serialize for DigestedState<'_> {
 
 /// A typed snapshot of a harvester-world bench, taken by
 /// [`System::snapshot`]: the bench's own state, so taking and restoring
-/// it are clones. It serializes to the tree [`System::save_state`]
-/// returns.
+/// it are clones, except that it holds the FRAM image as shared 1 KiB
+/// pages (a parked [`edb_mcu::Memory`]), made flat again on restore. It
+/// serializes to the tree [`System::save_state`] returns.
 #[derive(Debug, Clone)]
 pub struct SystemState {
     device: Device,
@@ -1217,9 +1230,11 @@ impl SystemState {
         self.edb.as_ref()
     }
 
-    /// The target memory's state.
-    pub(crate) fn mem_mut(&mut self) -> &mut edb_mcu::Memory {
-        self.device.mem_mut()
+    /// The target memory's state, its FRAM image parked in shared
+    /// pages.
+    #[cfg(test)]
+    pub(crate) fn mem(&self) -> &edb_mcu::Memory {
+        self.device.mem()
     }
 
     fn view(&self) -> StateView<'_> {

@@ -40,13 +40,12 @@ fn event_log_round_trips_through_json() {
     let json = serde_json::to_string(log).expect("serializes");
     let back: EventLog = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(back.len(), log.len());
-    for (i, (a, b)) in log.events().iter().zip(back.events()).enumerate() {
+    for (i, (a, b)) in log.events().zip(back.events()).enumerate() {
         assert_eq!(a, b, "first mismatch at event {i}");
     }
     // Spot-check one structured event survived.
     assert!(back
         .events()
-        .iter()
         .any(|e| matches!(e.event, DebugEvent::EnergySample { .. })));
 }
 

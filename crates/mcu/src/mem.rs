@@ -17,6 +17,7 @@
 
 use crate::isa::Instr;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// First byte of volatile SRAM (inclusive).
 pub const SRAM_START: u16 = 0x1C00;
@@ -35,6 +36,9 @@ pub const IRQ_VECTOR: u16 = 0xFFFC;
 
 const SRAM_SIZE: usize = (SRAM_END - SRAM_START) as usize;
 const FRAM_SIZE: usize = (FRAM_END - FRAM_START as u32) as usize;
+
+/// Bytes per page of a parked FRAM image (see [`Memory::park`]).
+pub const FRAM_PAGE: usize = 1024;
 
 /// SRAM word count (dirty tracking is word-granular, like DiCA's
 /// write-probe hardware).
@@ -143,6 +147,19 @@ impl Deserialize for DecodeCache {
     }
 }
 
+/// The FRAM image of a parked memory (see [`Memory::park`]) in
+/// [`FRAM_PAGE`]-byte pages; empty in memory that runs. It never
+/// crosses a sink under its own key (the image serializes as `fram`),
+/// so it deserializes empty: decoded memory is flat.
+#[derive(Clone, Default)]
+struct FramPages(Vec<Arc<[u8]>>);
+
+impl Deserialize for FramPages {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(FramPages::default())
+    }
+}
+
 /// The target's memory: SRAM that dies with power and FRAM that survives.
 ///
 /// # Example
@@ -169,6 +186,9 @@ pub struct Memory {
     // predate the field (the serializer below omits the key, and a
     // missing key deserializes as `None`).
     dirty_sram: Option<Vec<u64>>,
+    // A parked memory's FRAM image, with `fram` empty. No access path
+    // reads it: only the serializer and `unpark` do.
+    fram_pages: FramPages,
 }
 
 // Hand-written so the `dirty_sram` key is absent (not `null`) when
@@ -182,7 +202,14 @@ impl Serialize for Memory {
         sink.str("sram");
         sink.bytes(&self.sram);
         sink.str("fram");
-        sink.bytes(&self.fram);
+        if self.is_parked() {
+            sink.seq(self.fram_len());
+            for page in &self.fram_pages.0 {
+                sink.byte_items(page);
+            }
+        } else {
+            sink.bytes(&self.fram);
+        }
         sink.str("bus_faults");
         self.bus_faults.serialize(sink);
         sink.str("last_fault_addr");
@@ -200,7 +227,7 @@ impl std::fmt::Debug for Memory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memory")
             .field("sram_bytes", &self.sram.len())
-            .field("fram_bytes", &self.fram.len())
+            .field("fram_bytes", &self.fram_len())
             .field("bus_faults", &self.bus_faults)
             .field("last_fault_addr", &self.last_fault_addr)
             .finish()
@@ -217,6 +244,7 @@ impl Memory {
             last_fault_addr: None,
             decode_cache: DecodeCache::default(),
             dirty_sram: None,
+            fram_pages: FramPages::default(),
         }
     }
 
@@ -414,13 +442,59 @@ impl Memory {
         &self.fram
     }
 
-    /// Swaps the FRAM image for `image` and returns the old one, for
-    /// holders of many snapshots that store the image in their own form
-    /// (shared pages). Swapping in an empty image parks the memory: it
-    /// must get the bytes it gave up back before it is used again, which
-    /// also keeps its decode cache valid.
-    pub fn replace_fram(&mut self, image: Vec<u8>) -> Vec<u8> {
-        std::mem::replace(&mut self.fram, image)
+    /// Parks this memory as a restore point's copy: its flat FRAM image
+    /// gives way to [`FRAM_PAGE`]-byte pages, each shared with the same
+    /// page of `prev` (an earlier parked copy) when their bytes are
+    /// equal: between two restore points a program rewrites few of its
+    /// 47 pages. A parked memory serializes exactly as it did flat, but
+    /// its [`Memory::fram`] is empty and it does not run:
+    /// [`Memory::unpark`] gives it its flat image back first. Parking a
+    /// parked memory changes nothing.
+    pub fn park(&mut self, prev: Option<&Memory>) {
+        if self.is_parked() {
+            return;
+        }
+        let prev = prev.map_or(&[][..], |m| &m.fram_pages.0[..]);
+        let pages = self
+            .fram
+            .chunks(FRAM_PAGE)
+            .enumerate()
+            .map(|(i, page)| match prev.get(i) {
+                Some(shared) if **shared == *page => Arc::clone(shared),
+                _ => Arc::from(page),
+            })
+            .collect();
+        self.fram_pages = FramPages(pages);
+        self.fram = Vec::new();
+    }
+
+    /// Gives a parked memory its flat FRAM image back, the bytes it was
+    /// parked with (its decode cache, parked along, stays valid). A
+    /// no-op on memory that is not parked.
+    pub fn unpark(&mut self) {
+        if !self.is_parked() {
+            return;
+        }
+        let mut image = Vec::with_capacity(self.fram_len());
+        for page in std::mem::take(&mut self.fram_pages).0 {
+            image.extend_from_slice(&page);
+        }
+        self.fram = image;
+    }
+
+    /// The FRAM pages of a parked memory in address order, to see which
+    /// it shares; empty unless parked.
+    pub fn fram_pages(&self) -> &[Arc<[u8]>] {
+        &self.fram_pages.0
+    }
+
+    fn is_parked(&self) -> bool {
+        !self.fram_pages.0.is_empty()
+    }
+
+    /// The FRAM image's length in bytes, parked or flat.
+    fn fram_len(&self) -> usize {
+        self.fram.len() + self.fram_pages.0.iter().map(|p| p.len()).sum::<usize>()
     }
 
     /// Number of accesses to unmapped space so far (sticky across power
@@ -769,6 +843,52 @@ mod tests {
         // And a disarmed snapshot reads back disarmed.
         let back = Memory::from_value(&clean).unwrap();
         assert!(!back.dirty_tracking());
+    }
+
+    #[test]
+    fn parked_memory_shares_unchanged_pages_and_serializes_flat() {
+        let mut mem = Memory::new();
+        mem.write_word(0x4400, 0x1234);
+        mem.write_word(0x1C00, 7);
+        let _ = mem.fetch_decoded(0x4400);
+        let mut first = mem.clone();
+        first.park(None);
+        assert_eq!(first.fram_pages().len(), FRAM_SIZE / FRAM_PAGE);
+        assert!(mem.fram_pages().is_empty(), "live memory is flat");
+        assert_eq!(first.to_value(), mem.to_value());
+        assert_eq!(format!("{first:?}"), format!("{mem:?}"));
+
+        // Rewrite one page: only that page stops being shared.
+        mem.write_word(0x4400 + 5 * FRAM_PAGE as u16 + 2, 0xBEEF);
+        let mut second = mem.clone();
+        second.park(Some(&first));
+        for (i, (a, b)) in first
+            .fram_pages()
+            .iter()
+            .zip(second.fram_pages())
+            .enumerate()
+        {
+            assert_eq!(Arc::ptr_eq(a, b), i != 5, "page {i}");
+        }
+        assert_eq!(second.to_value(), mem.to_value());
+        // Parking twice keeps the pages.
+        let pages = second.fram_pages().to_vec();
+        second.park(None);
+        assert!(second
+            .fram_pages()
+            .iter()
+            .zip(&pages)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        // Unparked, it runs as the memory it was parked from.
+        second.unpark();
+        assert!(second.fram_pages().is_empty());
+        assert_eq!(second.fram(), mem.fram());
+        assert_eq!(second.read_word(0x4400), 0x1234);
+        assert_eq!(second.to_value(), mem.to_value());
+        let mut decoded = Memory::from_value(&first.to_value()).unwrap();
+        assert!(decoded.fram_pages().is_empty(), "decoded memory is flat");
+        assert_eq!(decoded.read_word(0x4400), 0x1234);
     }
 
     #[test]

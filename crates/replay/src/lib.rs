@@ -36,6 +36,8 @@
 use serde::{Serialize, Sink, Value};
 use std::any::Any;
 use std::fmt;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -232,8 +234,7 @@ impl Sink for CanonicalBytes<'_> {
         self.header(VAL_MAP, len);
     }
 
-    fn bytes(&mut self, v: &[u8]) {
-        self.header(VAL_SEQ, v.len());
+    fn byte_items(&mut self, v: &[u8]) {
         self.0.reserve(9 * v.len());
         for &b in v {
             self.0.extend_from_slice(&[VAL_U64, b, 0, 0, 0, 0, 0, 0, 0]);
@@ -286,8 +287,7 @@ impl Sink for CanonicalDigest {
         self.0.write(&(len as u32).to_le_bytes());
     }
 
-    fn bytes(&mut self, v: &[u8]) {
-        self.seq(v.len());
+    fn byte_items(&mut self, v: &[u8]) {
         let mut h = self.0 .0;
         for &b in v {
             // `VAL_U64`, the byte, then seven zero bytes.
@@ -295,6 +295,50 @@ impl Sink for CanonicalDigest {
             h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME_POW[8]);
         }
         self.0 .0 = h;
+    }
+}
+
+/// The canonical length: a [`Sink`] counting the bytes of the canonical
+/// encoding of every streamed node without producing them, so a writer
+/// can size a payload before it encodes one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CanonicalLen(pub usize);
+
+impl Sink for CanonicalLen {
+    fn null(&mut self) {
+        self.0 += 1;
+    }
+
+    fn bool(&mut self, _: bool) {
+        self.0 += 1;
+    }
+
+    fn u64(&mut self, _: u64) {
+        self.0 += 9;
+    }
+
+    fn i64(&mut self, _: i64) {
+        self.0 += 9;
+    }
+
+    fn f64(&mut self, _: f64) {
+        self.0 += 9;
+    }
+
+    fn str(&mut self, v: &str) {
+        self.0 += 5 + v.len();
+    }
+
+    fn seq(&mut self, _: usize) {
+        self.0 += 5;
+    }
+
+    fn map(&mut self, _: usize) {
+        self.0 += 5;
+    }
+
+    fn byte_items(&mut self, v: &[u8]) {
+        self.0 += 9 * v.len();
     }
 }
 
@@ -309,6 +353,14 @@ pub fn digest<T: Serialize + ?Sized>(x: &T) -> u64 {
     let mut sink = CanonicalDigest::default();
     x.serialize(&mut sink);
     sink.0.finish()
+}
+
+/// The length of the canonical encoding of `x`, counted without
+/// encoding it.
+fn canonical_len<T: Serialize + ?Sized>(x: &T) -> usize {
+    let mut sink = CanonicalLen::default();
+    x.serialize(&mut sink);
+    sink.0
 }
 
 /// The canonical encoding of `v` as an owned buffer.
@@ -523,69 +575,77 @@ pub enum Chunk {
     },
 }
 
-/// Appends one chunk — tag, payload length, the payload `payload`
-/// writes, and the FNV-1a digest over all three — to `out`.
-fn write_chunk(out: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
-    let start = out.len();
-    out.push(tag);
-    out.extend_from_slice(&[0; 4]);
-    payload(out);
-    let len = (out.len() - start - 5) as u32;
-    out[start + 1..start + 5].copy_from_slice(&len.to_le_bytes());
-    let mut h = Fnv::new();
-    h.write(&out[start..]);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+/// Bytes of the container header: magic, version and flags.
+const HEADER_LEN: usize = 8;
+
+/// Bytes a chunk adds around its payload: the tag, the payload length
+/// and the trailing digest.
+const CHUNK_FRAME: usize = 1 + 4 + 8;
+
+/// One chunk as the writer sees it: its tag, the little-endian words
+/// that open its payload (a timestamp, a stride, a digest), and the
+/// canonical value that ends it, with that value's encoded length,
+/// counted with [`CanonicalLen`] when the frame is made.
+struct Frame<'a> {
+    tag: u8,
+    words: [u64; 2],
+    n_words: usize,
+    value: Option<(&'a dyn Serialize, usize)>,
 }
 
-/// Appends a chunk whose payload is `now_ns` followed by `body`.
-fn write_stamped(out: &mut Vec<u8>, tag: u8, now_ns: u64, body: impl FnOnce(&mut Vec<u8>)) {
-    write_chunk(out, tag, |out| {
-        out.extend_from_slice(&now_ns.to_le_bytes());
-        body(out);
-    });
-}
+impl<'a> Frame<'a> {
+    fn new(tag: u8, words: &[u64], value: Option<&'a dyn Serialize>) -> Self {
+        let mut fixed = [0; 2];
+        fixed[..words.len()].copy_from_slice(words);
+        Frame {
+            tag,
+            words: fixed,
+            n_words: words.len(),
+            value: value.map(|v| (v, canonical_len(v))),
+        }
+    }
 
-fn write_header(out: &mut Vec<u8>) {
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags
-}
+    fn spec(value: &'a Value) -> Self {
+        Frame::new(TAG_SPEC, &[], Some(value))
+    }
 
-fn write_spec(out: &mut Vec<u8>, value: &Value) {
-    write_chunk(out, TAG_SPEC, |out| encode(value, out));
-}
+    fn meta(stride: u64, start_ns: u64) -> Self {
+        Frame::new(TAG_META, &[stride, start_ns], None)
+    }
 
-fn write_meta(out: &mut Vec<u8>, stride: u64, start_ns: u64) {
-    write_chunk(out, TAG_META, |out| {
-        out.extend_from_slice(&stride.to_le_bytes());
-        out.extend_from_slice(&start_ns.to_le_bytes());
-    });
-}
+    /// An `Op` or `Snapshot` chunk: the time, then the value.
+    fn stamped(tag: u8, now_ns: u64, value: &'a dyn Serialize) -> Self {
+        Frame::new(tag, &[now_ns], Some(value))
+    }
 
-fn write_op(out: &mut Vec<u8>, now_ns: u64, value: &Value) {
-    write_stamped(out, TAG_OP, now_ns, |out| encode(value, out));
-}
+    /// A `Digest` or `End` chunk.
+    fn digest(tag: u8, now_ns: u64, digest: u64) -> Self {
+        Frame::new(tag, &[now_ns, digest], None)
+    }
 
-fn write_snapshot(out: &mut Vec<u8>, now_ns: u64, state: &SnapshotState) {
-    write_stamped(out, TAG_SNAPSHOT, now_ns, |out| encode(state, out));
-}
+    fn words(&self) -> &[u64] {
+        &self.words[..self.n_words]
+    }
 
-/// A `Digest` or `End` chunk.
-fn write_digest(out: &mut Vec<u8>, tag: u8, now_ns: u64, digest: u64) {
-    write_stamped(out, tag, now_ns, |out| {
-        out.extend_from_slice(&digest.to_le_bytes());
-    });
+    fn payload_len(&self) -> usize {
+        8 * self.n_words + self.value.map_or(0, |(_, len)| len)
+    }
+
+    /// The whole chunk's length: payload and frame.
+    fn chunk_len(&self) -> usize {
+        CHUNK_FRAME + self.payload_len()
+    }
 }
 
 impl Chunk {
-    fn write(&self, out: &mut Vec<u8>) {
+    fn frame(&self) -> Frame<'_> {
         match self {
-            Chunk::Spec { value } => write_spec(out, value),
-            Chunk::Meta { stride, start_ns } => write_meta(out, *stride, *start_ns),
-            Chunk::Op { now_ns, value } => write_op(out, *now_ns, value),
-            Chunk::Snapshot { now_ns, state } => write_snapshot(out, *now_ns, state),
-            Chunk::Digest { now_ns, digest } => write_digest(out, TAG_DIGEST, *now_ns, *digest),
-            Chunk::End { now_ns, digest } => write_digest(out, TAG_END, *now_ns, *digest),
+            Chunk::Spec { value } => Frame::spec(value),
+            Chunk::Meta { stride, start_ns } => Frame::meta(*stride, *start_ns),
+            Chunk::Op { now_ns, value } => Frame::stamped(TAG_OP, *now_ns, value),
+            Chunk::Snapshot { now_ns, state } => Frame::stamped(TAG_SNAPSHOT, *now_ns, state),
+            Chunk::Digest { now_ns, digest } => Frame::digest(TAG_DIGEST, *now_ns, *digest),
+            Chunk::End { now_ns, digest } => Frame::digest(TAG_END, *now_ns, *digest),
         }
     }
 
@@ -632,14 +692,77 @@ impl Chunk {
     }
 }
 
-/// Serializes `chunks` into a complete recording byte stream.
-pub fn write_chunks(chunks: &[Chunk]) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_header(&mut out);
-    for chunk in chunks {
-        chunk.write(&mut out);
+/// The container header: magic, version and (zero) flags.
+fn header() -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header
+}
+
+/// The one chunk encoder: appends `frame` as a chunk to `buf`. The
+/// payload is sized with [`CanonicalLen`] when the frame is made (its
+/// length precedes it), so `buf` is reserved to fit and never doubles.
+fn encode_chunk(buf: &mut Vec<u8>, frame: &Frame<'_>) -> io::Result<()> {
+    let len = frame.payload_len();
+    let len32 = u32::try_from(len)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "chunk over 4 GiB"))?;
+    let start = buf.len();
+    buf.reserve_exact(frame.chunk_len());
+    buf.push(frame.tag);
+    buf.extend_from_slice(&len32.to_le_bytes());
+    for word in frame.words() {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    if let Some((value, _)) = frame.value {
+        encode(value, buf);
+    }
+    if buf.len() - start != 5 + len {
+        return Err(io::Error::other("chunk payload length miscounted"));
+    }
+    let digest = fnv1a(&buf[start..]);
+    buf.extend_from_slice(&digest.to_le_bytes());
+    Ok(())
+}
+
+/// Writes the container header, then `frames`, to `out`, one chunk at a
+/// time, and returns the bytes written: it holds one chunk, never the
+/// recording.
+fn write_frames<'a, W: Write>(
+    mut out: W,
+    frames: impl IntoIterator<Item = Frame<'a>>,
+) -> io::Result<usize> {
+    out.write_all(&header())?;
+    let mut written = HEADER_LEN;
+    let mut chunk = Vec::new();
+    for frame in frames {
+        chunk.clear();
+        encode_chunk(&mut chunk, &frame)?;
+        out.write_all(&chunk)?;
+        written += chunk.len();
+    }
+    out.flush()?;
+    Ok(written)
+}
+
+/// The container bytes of `frames`, in a buffer of exactly their length.
+fn frames_to_bytes<'a>(frames: impl IntoIterator<Item = Frame<'a>>) -> Vec<u8> {
+    // Each chunk's length is counted once, here; the encoder reads it
+    // back from the frame.
+    let frames: Vec<Frame<'a>> = frames.into_iter().collect();
+    let len = HEADER_LEN + frames.iter().map(Frame::chunk_len).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&header());
+    for frame in &frames {
+        encode_chunk(&mut out, frame)
+            .expect("an in-memory chunk is under 4 GiB and counted as encoded");
     }
     out
+}
+
+/// Serializes `chunks` into a complete recording byte stream.
+pub fn write_chunks(chunks: &[Chunk]) -> Vec<u8> {
+    frames_to_bytes(chunks.iter().map(Chunk::frame))
 }
 
 /// Parses a recording byte stream, verifying every chunk digest.
@@ -749,28 +872,39 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Serializes to the container byte stream, encoding every entry
-    /// in place.
+    /// The recording's chunks in container order.
+    fn frames(&self) -> impl Iterator<Item = Frame<'_>> {
+        let entries = self.entries.iter().map(|entry| match entry {
+            Entry::Op { now_ns, value } => Frame::stamped(TAG_OP, *now_ns, value),
+            Entry::Snapshot { now_ns, state } => Frame::stamped(TAG_SNAPSHOT, *now_ns, state),
+            Entry::Digest { now_ns, digest } => Frame::digest(TAG_DIGEST, *now_ns, *digest),
+        });
+        let end = self
+            .end
+            .map(|(now_ns, digest)| Frame::digest(TAG_END, now_ns, digest));
+        self.spec
+            .iter()
+            .map(Frame::spec)
+            .chain([Frame::meta(self.stride, self.start_ns)])
+            .chain(entries)
+            .chain(end)
+    }
+
+    /// The length of [`Recording::to_bytes`], counted without encoding.
+    pub fn encoded_len(&self) -> usize {
+        HEADER_LEN + self.frames().map(|frame| frame.chunk_len()).sum::<usize>()
+    }
+
+    /// Writes the container byte stream to `out` chunk by chunk, and
+    /// returns its length. Holds one chunk's bytes at a time, not the
+    /// recording's.
+    pub fn write_to<W: Write>(&self, out: W) -> io::Result<usize> {
+        write_frames(out, self.frames())
+    }
+
+    /// Serializes to the container byte stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_header(&mut out);
-        if let Some(spec) = &self.spec {
-            write_spec(&mut out, spec);
-        }
-        write_meta(&mut out, self.stride, self.start_ns);
-        for entry in &self.entries {
-            match entry {
-                Entry::Op { now_ns, value } => write_op(&mut out, *now_ns, value),
-                Entry::Snapshot { now_ns, state } => write_snapshot(&mut out, *now_ns, state),
-                Entry::Digest { now_ns, digest } => {
-                    write_digest(&mut out, TAG_DIGEST, *now_ns, *digest);
-                }
-            }
-        }
-        if let Some((now_ns, digest)) = self.end {
-            write_digest(&mut out, TAG_END, now_ns, digest);
-        }
-        out
+        frames_to_bytes(self.frames())
     }
 
     /// Parses a recording from the container byte stream.
@@ -810,9 +944,9 @@ impl Recording {
         Ok(rec)
     }
 
-    /// Writes the recording to `path`.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+    /// Writes the recording to `path`, streamed through a `BufWriter`.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        self.write_to(BufWriter::new(File::create(path)?)).map(drop)
     }
 
     /// Reads a recording from `path`.
@@ -1005,8 +1139,106 @@ mod tests {
         sink.bytes(&memory);
         assert_eq!(sink.0.finish(), naive_fnv(&slow));
         assert_eq!(value_bytes(&serde::Serialize::to_value(&memory)), slow);
-        // And the digest sink hashes exactly what the encoder writes.
+        // And the digest sink hashes exactly what the encoder writes,
+        // and the length sink counts it.
         assert_eq!(digest(&v), naive_fnv(&value_bytes(&v)));
+        assert_eq!(canonical_len(&v), value_bytes(&v).len());
+        let mut pieces = CanonicalLen::default();
+        pieces.seq(memory.len());
+        for piece in memory.chunks(7) {
+            pieces.byte_items(piece);
+        }
+        assert_eq!(pieces.0, slow.len());
+    }
+
+    #[test]
+    fn streamed_chunks_match_the_direct_encoding() {
+        // A snapshot chunk of some 450 KB.
+        let image: Vec<u8> = (0..50_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let state = Value::Map(vec![
+            (
+                Value::Str("image".into()),
+                serde::Serialize::to_value(&image),
+            ),
+            (Value::Str("f".into()), Value::F64(-0.0)),
+        ]);
+        let mut rec = sample_recording();
+        rec.entries.push(Entry::Snapshot {
+            now_ns: 1000,
+            state: state.clone().into(),
+        });
+        // The container as the format defines it, each payload encoded
+        // whole.
+        let mut expected = Vec::new();
+        expected.extend_from_slice(b"EDBR\x01\x00\x00\x00");
+        raw_chunk(
+            &mut expected,
+            TAG_SPEC,
+            &value_bytes(rec.spec.as_ref().unwrap()),
+        );
+        let meta = [50_000_000u64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+        raw_chunk(&mut expected, TAG_META, &meta);
+        for entry in &rec.entries {
+            let (tag, now_ns, body) = match entry {
+                Entry::Op { now_ns, value } => (TAG_OP, now_ns, value_bytes(value)),
+                Entry::Snapshot { now_ns, state } => {
+                    let mut body = Vec::new();
+                    encode(state, &mut body);
+                    (TAG_SNAPSHOT, now_ns, body)
+                }
+                Entry::Digest { now_ns, digest } => {
+                    (TAG_DIGEST, now_ns, digest.to_le_bytes().to_vec())
+                }
+            };
+            raw_chunk(
+                &mut expected,
+                tag,
+                &[&now_ns.to_le_bytes()[..], &body].concat(),
+            );
+        }
+        let end = [1000u64.to_le_bytes(), 0xDEAD_BEEFu64.to_le_bytes()].concat();
+        raw_chunk(&mut expected, TAG_END, &end);
+
+        assert_eq!(rec.to_bytes(), expected);
+        assert_eq!(rec.encoded_len(), expected.len());
+        let mut streamed = Vec::new();
+        assert_eq!(rec.write_to(&mut streamed).expect("writes"), expected.len());
+        assert_eq!(streamed, expected);
+        let back = Recording::from_bytes(&expected).expect("parses");
+        assert_eq!(back, rec);
+    }
+
+    /// A writer that takes `room` bytes, then fails.
+    struct Cramped {
+        room: usize,
+    }
+
+    impl Write for Cramped {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_fails_the_export() {
+        let rec = sample_recording();
+        let len = rec.encoded_len();
+        for room in [0, 3, len / 2, len - 1] {
+            let err = rec
+                .write_to(Cramped { room })
+                .expect_err("runs out of room");
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "room {room}");
+        }
+        assert_eq!(rec.write_to(Cramped { room: len }).expect("fits"), len);
     }
 
     #[test]
@@ -1034,20 +1266,41 @@ mod tests {
         ));
     }
 
+    /// Appends a chunk of tag `tag` around the raw `payload`, with a
+    /// valid digest.
+    fn raw_chunk(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+        let start = out.len();
+        out.push(tag);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        let digest = fnv1a(&out[start..]);
+        out.extend_from_slice(&digest.to_le_bytes());
+    }
+
     /// A recording whose Spec chunk is a sequence nested `depth` levels
     /// deep, with valid chunk digests throughout.
     fn deeply_nested_recording(depth: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_header(&mut out);
-        write_chunk(&mut out, TAG_SPEC, |out| {
-            for _ in 0..depth {
-                out.push(VAL_SEQ);
-                out.extend_from_slice(&1u32.to_le_bytes());
-            }
-            out.push(VAL_NULL);
-        });
-        write_meta(&mut out, 1, 0);
-        write_digest(&mut out, TAG_END, 0, 0);
+        let mut spec = Vec::new();
+        for _ in 0..depth {
+            spec.push(VAL_SEQ);
+            spec.extend_from_slice(&1u32.to_le_bytes());
+        }
+        spec.push(VAL_NULL);
+        let mut out = write_chunks(&[]);
+        raw_chunk(&mut out, TAG_SPEC, &spec);
+        out.extend(
+            write_chunks(&[
+                Chunk::Meta {
+                    stride: 1,
+                    start_ns: 0,
+                },
+                Chunk::End {
+                    now_ns: 0,
+                    digest: 0,
+                },
+            ])[HEADER_LEN..]
+                .iter(),
+        );
         out
     }
 
@@ -1066,15 +1319,7 @@ mod tests {
     #[test]
     fn unknown_chunk_tags_are_rejected() {
         let mut bytes = write_chunks(&[]);
-        // Append a chunk with tag 99 and a valid digest.
-        let payload: &[u8] = &[];
-        let mut h = Fnv::new();
-        h.write(&[99]);
-        h.write(&0u32.to_le_bytes());
-        h.write(payload);
-        bytes.push(99);
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.extend_from_slice(&h.finish().to_le_bytes());
+        raw_chunk(&mut bytes, 99, &[]);
         let err = read_chunks(&bytes).unwrap_err();
         assert!(err.detail.contains("unknown chunk tag"), "{err}");
     }

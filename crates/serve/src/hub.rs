@@ -29,6 +29,8 @@ use edb_core::{
 use edb_energy::SimTime;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{self, BufWriter, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -53,6 +55,11 @@ pub const SIM_BUDGET: SimTime = SimTime::from_ms(2_500);
 /// for at most; 1 000 slots of a 10^5-tag fleet take about 1 s on a
 /// 2-core host.
 pub const STEP_LIMIT: u64 = 1_000;
+
+/// The largest recording file `fleet_verify` reads. A fleet tape holds
+/// its spec and about 75 bytes per recorded op (the op and a digest, no
+/// snapshots), so the limit leaves room for most of a million ops.
+pub const VERIFY_READ_LIMIT: u64 = 64 << 20;
 
 /// One event-stream subscription: which tags pass the filter and how
 /// far into the session's log this connection has streamed.
@@ -285,7 +292,7 @@ impl SessionHub {
         conn.subs.retain(|&sid, sub| {
             self.with_session(Some(sid), |session| {
                 let events = session.events();
-                for (k, logged) in events.iter().enumerate().skip(sub.cursor) {
+                for (k, logged) in (sub.cursor..).zip(events.events_from(sub.cursor)) {
                     let tag = logged.event.tag();
                     if !sub.wants(tag) {
                         continue;
@@ -477,7 +484,7 @@ impl SessionHub {
                     Ok(fields(&[
                         ("ops", &recording.op_count()),
                         ("snapshots", &recording.snapshot_count()),
-                        ("bytes", &save(path, &recording.to_bytes())?),
+                        ("bytes", &save(path, &recording)?),
                     ]))
                 })
             }
@@ -572,14 +579,13 @@ impl SessionHub {
                     Ok(fields(&[
                         ("fleet", &fid),
                         ("ops", &tape.op_count()),
-                        ("bytes", &save(path, &tape.export(sim).to_bytes())?),
+                        ("bytes", &save(path, &tape.export(sim))?),
                     ]))
                 })
             }
             "fleet_verify" => {
                 let path: &str = required(p, "path")?;
-                let bytes = std::fs::read(path)
-                    .map_err(|e| RpcError::invalid_request(format!("cannot read `{path}`: {e}")))?;
+                let bytes = read_recording(path, VERIFY_READ_LIMIT)?;
                 let recording = Recording::from_bytes(&bytes)
                     .map_err(|e| RpcError::invalid_request(format!("bad recording: {e}")))?;
                 let ops = verify_fleet(&recording)
@@ -761,14 +767,46 @@ fn unexpected(response: DebugResponse, method: &str) -> RpcError {
     RpcError::invalid_request(format!("engine returned {response:?} for {method}"))
 }
 
-/// Writes exported recording bytes to the client-named `path`, if any,
-/// and returns their length.
-fn save(path: Option<&str>, bytes: &[u8]) -> Result<usize, RpcError> {
-    if let Some(path) = path {
-        std::fs::write(path, bytes)
-            .map_err(|e| RpcError::invalid_request(format!("cannot write `{path}`: {e}")))?;
+/// Streams an exported recording to the client-named `path`, if any,
+/// and returns its length in bytes; without a path it only counts them.
+fn save(path: Option<&str>, recording: &Recording) -> Result<usize, RpcError> {
+    let Some(path) = path else {
+        return Ok(recording.encoded_len());
+    };
+    let cannot = |e: io::Error| RpcError::invalid_request(format!("cannot write `{path}`: {e}"));
+    let file = File::create(path).map_err(cannot)?;
+    recording.write_to(BufWriter::new(file)).map_err(cannot)
+}
+
+/// Reads the client-named recording at `path`: a regular file of at
+/// most `cap` bytes. Anything else (a directory, a device such as
+/// `/dev/zero`, a FIFO that would block the worker) is refused before
+/// it is read, and a file that grows past `cap` while it is read stops
+/// there.
+fn read_recording(path: &str, cap: u64) -> Result<Vec<u8>, RpcError> {
+    let refuse = |why: String| RpcError::invalid_request(format!("cannot read `{path}`: {why}"));
+    let regular = |meta: std::fs::Metadata| {
+        if !meta.is_file() {
+            return Err(refuse("not a regular file".into()));
+        }
+        if meta.len() > cap {
+            return Err(refuse(format!("over the {cap}-byte limit")));
+        }
+        Ok(())
+    };
+    // Checked before the open, which would block on a FIFO, and again
+    // on the opened file.
+    regular(std::fs::metadata(path).map_err(|e| refuse(e.to_string()))?)?;
+    let file = File::open(path).map_err(|e| refuse(e.to_string()))?;
+    regular(file.metadata().map_err(|e| refuse(e.to_string()))?)?;
+    let mut bytes = Vec::new();
+    file.take(cap + 1)
+        .read_to_end(&mut bytes)
+        .map_err(|e| refuse(e.to_string()))?;
+    if bytes.len() as u64 > cap {
+        return Err(refuse(format!("over the {cap}-byte limit")));
     }
-    Ok(bytes.len())
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -1215,6 +1253,66 @@ mod tests {
             &format!(r#"{{"path":"{}"}}"#, broken_path.to_str().unwrap()),
         );
         assert!(err.contains("error"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_export_streams_the_exported_bytes() {
+        let hub = SessionHub::new();
+        let mut conn = ConnState::new();
+        let created = call(
+            &hub,
+            &mut conn,
+            1,
+            "create",
+            r#"{"firmware":"assert","seed":3,"wait_session_ms":2000}"#,
+        );
+        assert!(created.contains(r#""recording":true"#), "{created}");
+        call(&hub, &mut conn, 2, "resume", "{}");
+        call(&hub, &mut conn, 3, "run_until", r#"{"ms":30}"#);
+
+        let dir = std::env::temp_dir().join(format!("edb-serve-export-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("session.edbr");
+        let params = format!(r#"{{"path":"{}"}}"#, path.to_str().unwrap());
+        let saved = call(&hub, &mut conn, 4, "record_export", &params);
+        let counted = call(&hub, &mut conn, 5, "record_export", "{}");
+        let file = std::fs::read(&path).unwrap();
+        let expected = hub
+            .with_session(Some(1), |s| {
+                Ok(s.export_recording().expect("recording").to_bytes())
+            })
+            .unwrap();
+        assert!(file == expected, "the file is not the exported recording");
+        let bytes = format!(r#""bytes":{}"#, file.len());
+        assert!(saved.contains(&bytes), "{saved}");
+        assert!(counted.contains(&bytes), "{counted}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recording_reads_are_bounded() {
+        let dir = std::env::temp_dir().join(format!("edb-serve-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hundred.edbr");
+        std::fs::write(&path, [7u8; 100]).unwrap();
+        let path = path.to_str().unwrap();
+        assert_eq!(read_recording(path, 100).expect("at the cap"), vec![7; 100]);
+        let over = read_recording(path, 99).expect_err("over the cap");
+        assert_eq!(over.code, -32600);
+        assert!(over.message.contains("over the 99-byte limit"), "{over:?}");
+        let not_file = read_recording(dir.to_str().unwrap(), 100).expect_err("a directory");
+        assert!(
+            not_file.message.contains("not a regular file"),
+            "{not_file:?}"
+        );
+        let missing = read_recording(&format!("{path}.gone"), 100).expect_err("missing");
+        assert_eq!(missing.code, -32600);
+        #[cfg(unix)]
+        {
+            let zero = read_recording("/dev/zero", 100).expect_err("a device");
+            assert!(zero.message.contains("not a regular file"), "{zero:?}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@
 //! 200 000 levels deep, with valid chunk digests, used to recurse the
 //! decoder off the end of the worker thread's stack and abort the whole
 //! process. It must come back as a JSON-RPC error, with the server still
-//! answering afterwards.
+//! answering afterwards. So must a path that is not a regular file.
 //!
 //! A request that panics inside a session poisons that session's lock.
 //! The session must then answer a typed error and leave the hub, while
@@ -83,6 +83,31 @@ fn fleet_verify_on_a_deeply_nested_file_is_an_rpc_error() {
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `fleet_verify` of `/dev/zero` used to read without end until the
+/// worker ran out of memory. It is refused before a byte is read.
+#[cfg(unix)]
+#[test]
+fn fleet_verify_of_dev_zero_is_an_rpc_error() {
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 2,
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    let out = client
+        .call(
+            "fleet_verify",
+            vec![("path", Value::Str("/dev/zero".to_string()))],
+        )
+        .expect("the server replies");
+    let err = out.outcome.expect_err("a device is not a recording");
+    assert_eq!(err.code, -32600, "{err:?}");
+    assert!(err.message.contains("not a regular file"), "{err:?}");
+    let info = client.call("server_info", vec![]).expect("server replies");
+    assert!(info.outcome.is_ok(), "{:?}", info.outcome);
+    server.stop();
 }
 
 #[test]

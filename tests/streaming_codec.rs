@@ -11,7 +11,10 @@
 
 use edb_replay::{digest, encode, value_bytes, Entry};
 use edb_suite::apps::{activity, fib, linked_list, rfid_fw};
-use edb_suite::core::replay::{HarvesterSpec, SessionOp, SessionSpec, WorldSpec};
+use edb_suite::core::replay::{
+    FleetOp, FleetSpec, FleetTape, HarvesterSpec, Recording, SessionOp, SessionSpec, WorldSpec,
+};
+use edb_suite::core::FleetConfig;
 use edb_suite::core::{ChannelFaultConfig, DebugRequest, RequestId, System};
 use edb_suite::device::DeviceConfig;
 use edb_suite::energy::{Fading, Harvester, RfField, SimTime, SolarHarvester, TheveninSource};
@@ -236,11 +239,9 @@ fn session_specs_and_ops_stream_like_their_trees() {
     }
 }
 
-#[test]
-fn live_tape_snapshots_match_their_reloaded_bytes() {
-    // A recording exported from a live tape holds typed snapshots; the
-    // same recording reloaded from its bytes holds decoded trees. Both
-    // must encode and digest identically.
+/// A recording of a harvested `linked_list` run under a differential
+/// checkpoint engine, exported from its live tape.
+fn live_recording() -> Recording {
     let mut spec = SessionSpec::harvested(&linked_list::source(linked_list::Variant::Assert), 11)
         .with_checkpoint_strategy(CkptConfig::new(StrategyKind::Differential));
     // The app source already carries the libEDB runtime.
@@ -252,10 +253,17 @@ fn live_tape_snapshots_match_their_reloaded_bytes() {
     session.advance(SimTime::from_ms(30));
     let _ = session.set_breakpoint(1, Some(2.1));
     session.advance(SimTime::from_ms(10));
-    let live = session.export_recording().expect("recording");
+    session.export_recording().expect("recording")
+}
+
+#[test]
+fn live_tape_snapshots_match_their_reloaded_bytes() {
+    // A recording exported from a live tape holds typed snapshots; the
+    // same recording reloaded from its bytes holds decoded trees. Both
+    // must encode and digest identically.
+    let live = live_recording();
     assert!(live.snapshot_count() >= 2);
-    let reloaded =
-        edb_suite::core::replay::Recording::from_bytes(&live.to_bytes()).expect("parses");
+    let reloaded = Recording::from_bytes(&live.to_bytes()).expect("parses");
     assert_eq!(reloaded, live);
     assert_eq!(reloaded.to_bytes(), live.to_bytes());
 
@@ -276,6 +284,87 @@ fn live_tape_snapshots_match_their_reloaded_bytes() {
 }
 
 /// Container nesting depth of a tree (a scalar is 0).
+/// One export, four views: the counted length, the bytes in memory, the
+/// bytes streamed to a writer and the file saved to disk agree, for
+/// every kind of recording.
+#[test]
+fn every_export_view_agrees() {
+    let live = live_recording();
+    let decoded = Recording::from_bytes(&live.to_bytes()).expect("parses");
+    let rfid = {
+        let spec = SessionSpec {
+            world: WorldSpec::Rfid { distance_m: 1.0 },
+            firmware: None,
+            ..SessionSpec::bench("")
+        };
+        let mut session = spec.record(3).expect("spec builds");
+        session.advance(SimTime::from_ms(20));
+        let _ = session.perform(DebugRequest::ReadWord { addr: 0x6000 });
+        session.advance(SimTime::from_ms(5));
+        session.export_recording().expect("recording")
+    };
+    assert_eq!(
+        rfid.snapshot_count(),
+        0,
+        "RFID recordings hold digests only"
+    );
+    let fleet = {
+        let spec = FleetSpec {
+            config: FleetConfig::standard(40),
+            seed: 3,
+        };
+        let mut sim = spec.build();
+        let mut tape = FleetTape::new(spec, &sim);
+        tape.run(&mut sim, FleetOp::RunMs(50));
+        tape.run(&mut sim, FleetOp::RunSlots(30));
+        tape.export(&sim)
+    };
+    let specless = {
+        let mut spec = SessionSpec::bench(&linked_list::source(linked_list::Variant::Assert));
+        // The app source already carries the libEDB runtime.
+        if let Some(fw) = &mut spec.firmware {
+            fw.wrap = false;
+        }
+        let mut session = spec.build().expect("spec builds");
+        session.start_recording(None, 2);
+        session.advance(SimTime::from_ms(15));
+        session.export_recording().expect("recording")
+    };
+    assert!(specless.spec.is_none());
+
+    let dir = std::env::temp_dir().join(format!("edb-export-views-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let kinds = [
+        ("live tape", live),
+        ("decoded", decoded),
+        ("rfid", rfid),
+        ("fleet", fleet),
+        ("no spec", specless),
+    ];
+    for (what, rec) in &kinds {
+        let bytes = rec.to_bytes();
+        assert_eq!(rec.encoded_len(), bytes.len(), "{what}");
+        let mut streamed = Vec::new();
+        let written = rec
+            .write_to(&mut streamed)
+            .expect("a Vec takes every write");
+        assert_eq!(written, bytes.len(), "{what}");
+        assert!(streamed == bytes, "{what}: streamed bytes differ");
+        let path = dir.join("export.edbr");
+        rec.save(&path).expect("saves");
+        assert!(
+            std::fs::read(&path).expect("reads") == bytes,
+            "{what}: file differs"
+        );
+        assert_eq!(
+            &Recording::from_bytes(&bytes).expect("parses"),
+            rec,
+            "{what}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn depth(v: &Value) -> usize {
     match v {
         Value::Seq(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
