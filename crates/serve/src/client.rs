@@ -54,9 +54,8 @@ impl Client {
     /// including the response (the line carrying an `id`). The request
     /// must carry an `id` itself, or this blocks forever.
     pub fn exchange_line(&mut self, line: &str) -> std::io::Result<Vec<String>> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One write, so the request leaves as one segment.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut lines = Vec::new();
         loop {
             let mut reply = String::new();

@@ -15,9 +15,9 @@
 //! (`run_until`, `step`, or a command exchange), each session is stepped
 //! under its own lock, and every response and notification is rendered
 //! with a fixed key order — so a scripted transcript replayed against
-//! the server is **bit-reproducible** regardless of the worker-pool
-//! width (`--threads 1` and `--threads 4` produce identical bytes; the
-//! golden-transcript test in CI holds the server to that).
+//! the server is **bit-reproducible** regardless of how many requests
+//! run at once (`--threads 1` and `--threads 4` produce identical
+//! bytes; the golden-transcript test in CI holds the server to that).
 //!
 //! Module map:
 //!
@@ -26,8 +26,9 @@
 //!   variants onto RPC error codes (typed errors cross the wire intact).
 //! * [`hub`] — the session hub: create/attach/destroy sessions, dispatch
 //!   methods, stream event and `Vcap` notifications to subscribers.
-//! * [`sched`] — the fixed-width worker pool requests execute on.
-//! * [`server`] — the TCP accept loop and per-connection line protocol.
+//! * [`server`] — the TCP accept loop, the per-connection line protocol,
+//!   and the `--threads` gate each request executes under on its
+//!   connection's thread.
 //! * [`client`] — a small blocking client (used by the TUI, the replay
 //!   tool, and tests).
 //! * [`transcript`] — scripted-session transcripts: parse, replay,
@@ -41,7 +42,6 @@
 pub mod client;
 pub mod hub;
 pub mod rpc;
-pub mod sched;
 pub mod server;
 pub mod transcript;
 pub mod tui;
@@ -49,6 +49,5 @@ pub mod tui;
 pub use client::Client;
 pub use hub::SessionHub;
 pub use rpc::{RpcError, RpcRequest};
-pub use sched::WorkerPool;
 pub use server::{Server, ServerConfig};
 pub use transcript::{ReplayReport, Transcript};

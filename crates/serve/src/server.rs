@@ -1,19 +1,23 @@
 //! The TCP front of the service: accept loop, per-connection line
 //! protocol, shutdown.
 //!
-//! One thread per connection reads newline-delimited JSON-RPC requests;
-//! each request executes on the shared [`WorkerPool`], so `--threads`
-//! bounds simultaneous engine work across connections. A connection
-//! issues requests strictly in order and blocks for each response,
-//! which is what makes transcripts deterministic — the server never
-//! reorders one client's requests.
+//! One thread per connection reads newline-delimited JSON-RPC requests
+//! and executes each one itself, holding one of the `--threads` permits
+//! of a shared gate while it runs, so `--threads` bounds simultaneous
+//! engine work across connections. A connection issues requests
+//! strictly in order and blocks for each response, which is what makes
+//! transcripts deterministic — the server never reorders one client's
+//! requests.
+//!
+//! The accept loop blocks in `accept()`. Whoever stops the server
+//! ([`Server::stop`], or the connection that served `shutdown`) sets
+//! the stop flag and then wakes the loop with one loopback connect.
 
 use crate::hub::{ConnState, SessionHub};
-use crate::sched::WorkerPool;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -22,7 +26,7 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker-pool width — how many sessions make progress at once.
+    /// How many requests execute at once, across all connections.
     pub threads: usize,
 }
 
@@ -35,12 +39,94 @@ impl Default for ServerConfig {
     }
 }
 
+/// A counting gate: at most `width` jobs run inside it at once, each on
+/// its caller's thread; the rest wait for a permit.
+#[derive(Debug)]
+struct Gate {
+    inside: Mutex<usize>,
+    freed: Condvar,
+    width: usize,
+}
+
+/// A held permit; dropping it (also while unwinding) frees it.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    /// A gate of `width` permits (clamped to at least 1).
+    fn new(width: usize) -> Self {
+        Gate {
+            inside: Mutex::new(0),
+            freed: Condvar::new(),
+            width: width.max(1),
+        }
+    }
+
+    /// Runs `job` on this thread once a permit is free.
+    fn run<R>(&self, job: impl FnOnce() -> R) -> R {
+        let mut inside = self.inside.lock().unwrap_or_else(PoisonError::into_inner);
+        while *inside >= self.width {
+            inside = self
+                .freed
+                .wait(inside)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *inside += 1;
+        drop(inside);
+        let _permit = Permit(self);
+        job()
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.inside.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// The server-wide stop signal, and how to deliver it to an accept loop
+/// blocked in `accept()`.
+#[derive(Debug)]
+struct Stop {
+    flag: AtomicBool,
+    /// Where a loopback connect reaches the listener.
+    wake: SocketAddr,
+}
+
+impl Stop {
+    fn new(bound: SocketAddr) -> Self {
+        let mut wake = bound;
+        // A listener on `0.0.0.0` or `::` is reached through loopback.
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match bound {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Stop {
+            flag: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag; the first caller also wakes the accept loop.
+    fn set(&self) {
+        if !self.flag.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect(self.wake);
+        }
+    }
+}
+
 /// A running session server. Dropping it (or calling
 /// [`stop`](Server::stop)) shuts it down and joins every thread.
 pub struct Server {
     addr: SocketAddr,
     hub: Arc<SessionHub>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -57,10 +143,9 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let hub = Arc::new(SessionHub::new());
-        let pool = Arc::new(WorkerPool::new(config.threads));
-        let stop = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(Gate::new(config.threads));
+        let stop = Arc::new(Stop::new(addr));
 
         let accept_thread = {
             let hub = Arc::clone(&hub);
@@ -69,27 +154,29 @@ impl Server {
                 .name("edb-serve-accept".to_string())
                 .spawn(move || {
                     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                    while !stop.load(Ordering::SeqCst) {
+                    loop {
                         match listener.accept() {
+                            // The wake connect, or a client that lost
+                            // the race with shutdown.
+                            Ok(_) if stop.is_set() => break,
                             Ok((stream, _)) => {
                                 let hub = Arc::clone(&hub);
-                                let pool = Arc::clone(&pool);
+                                let gate = Arc::clone(&gate);
                                 let stop = Arc::clone(&stop);
                                 let handle = std::thread::Builder::new()
                                     .name("edb-serve-conn".to_string())
                                     .spawn(move || {
-                                        let _ = serve_connection(stream, &hub, &pool, &stop);
+                                        let _ = serve_connection(stream, &hub, &gate, &stop);
                                     })
                                     .expect("spawn connection thread");
                                 conns.push(handle);
                             }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
+                            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                             Err(_) => break,
                         }
                     }
-                    stop.store(true, Ordering::SeqCst);
+                    // The loop is no longer blocked, so no wake is needed.
+                    stop.flag.store(true, Ordering::SeqCst);
                     for handle in conns {
                         let _ = handle.join();
                     }
@@ -116,14 +203,11 @@ impl Server {
 
     /// Signals shutdown and joins the accept loop and every connection.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
+        self.stop.set();
+        self.wait();
     }
 
-    /// Blocks until the server stops (a client called `shutdown`, or
-    /// [`stop`](Server::stop) from another thread).
+    /// Blocks until the server stops (a client called `shutdown`).
     pub fn wait(&mut self) {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -158,28 +242,38 @@ fn oversize_reply() -> String {
     ))
 }
 
+/// Writes reply lines, each newline-terminated, in one write: with
+/// `TCP_NODELAY` every write is a segment of its own.
+fn send(writer: &mut TcpStream, lines: &[String]) -> std::io::Result<()> {
+    let mut bytes = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+    for line in lines {
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
+    writer.write_all(&bytes)
+}
+
 /// Serves one connection until EOF, error, or server shutdown. Reads
 /// use a short timeout so a parked connection notices a server-wide
 /// shutdown promptly.
 fn serve_connection(
     stream: TcpStream,
-    hub: &Arc<SessionHub>,
-    pool: &WorkerPool,
-    stop: &Arc<AtomicBool>,
+    hub: &SessionHub,
+    gate: &Gate,
+    stop: &Stop,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    // The connection's view of the hub; shared with the worker closure
-    // executing the current request (one request in flight at a time).
-    let conn = Arc::new(Mutex::new(ConnState::new()));
+    // The connection's view of the hub.
+    let mut conn = ConnState::new();
     let mut line = String::new();
     // True while throwing away the tail of an over-limit line (the
     // error reply has already been sent).
     let mut discarding = false;
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.is_set() {
             return Ok(());
         }
         match reader.read_line(&mut line) {
@@ -192,39 +286,22 @@ fn serve_connection(
                     continue;
                 }
                 if line.len() > MAX_LINE_BYTES {
-                    writer.write_all(oversize_reply().as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
+                    send(&mut writer, &[oversize_reply()])?;
                     discarding = !complete;
                     line.clear();
                     continue;
                 }
-                if !complete {
-                    // A final unterminated line: serve it and then EOF.
-                    line.push('\n');
+                // A final unterminated line is served too, then EOF.
+                let text = line.trim();
+                if !text.is_empty() {
+                    let out = gate.run(|| hub.dispatch(&mut conn, text));
+                    send(&mut writer, &out.lines)?;
+                    if out.shutdown {
+                        stop.set();
+                        return Ok(());
+                    }
                 }
-                let text = std::mem::take(&mut line);
-                let text = text.trim().to_string();
-                if text.is_empty() {
-                    continue;
-                }
-                let out = {
-                    let hub = Arc::clone(hub);
-                    let conn = Arc::clone(&conn);
-                    pool.run(move || {
-                        let mut conn = conn.lock().expect("conn lock");
-                        hub.dispatch(&mut conn, &text)
-                    })
-                };
-                for reply in &out.lines {
-                    writer.write_all(reply.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                }
-                writer.flush()?;
-                if out.shutdown {
-                    stop.store(true, Ordering::SeqCst);
-                    return Ok(());
-                }
+                line.clear();
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 // Timeout with a possibly partial line buffered in
@@ -232,9 +309,7 @@ fn serve_connection(
                 // the partial has already blown the cap, in which case
                 // reply now and discard until the newline shows up.
                 if !discarding && line.len() > MAX_LINE_BYTES {
-                    writer.write_all(oversize_reply().as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
+                    send(&mut writer, &[oversize_reply()])?;
                     discarding = true;
                     line.clear();
                 }
@@ -247,9 +322,7 @@ fn serve_connection(
                 if !discarding {
                     let reply =
                         parse_error_reply("parse error: request line is not valid UTF-8".into());
-                    writer.write_all(reply.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
+                    send(&mut writer, &[reply])?;
                 }
                 discarding = false;
             }
@@ -263,6 +336,99 @@ fn serve_connection(
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+
+    #[test]
+    fn gate_returns_the_job_result() {
+        within(|| {
+            let gate = Gate::new(4);
+            assert_eq!(gate.run(|| 6 * 7), 42);
+            let results: Vec<u32> = (0..16u32).map(|k| gate.run(|| k * k)).collect();
+            assert_eq!(results[15], 225);
+        });
+    }
+
+    #[test]
+    fn gate_width_is_clamped_to_one() {
+        within(|| {
+            let gate = Gate::new(0);
+            assert_eq!(gate.width, 1);
+            assert_eq!(gate.run(|| "ok"), "ok");
+        });
+    }
+
+    #[test]
+    fn gate_survives_a_panicking_job() {
+        within(|| {
+            let gate = Gate::new(1);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                gate.run(|| panic!("job exploded"));
+            }));
+            assert!(caught.is_err());
+            // The permit was released while unwinding.
+            assert_eq!(gate.run(|| 5), 5);
+        });
+    }
+
+    /// Eight threads through the gate never have more than `width` jobs
+    /// inside at once, and they do fill it: each job waits inside until
+    /// `width` jobs are in, which only a gate that admits `width` lets
+    /// happen within the deadline.
+    #[test]
+    fn gate_bounds_jobs_in_flight() {
+        for width in [1, 2] {
+            let most = within(move || {
+                let gate = Gate::new(width);
+                let full = Barrier::new(width);
+                let inside = AtomicUsize::new(0);
+                let most = AtomicUsize::new(0);
+                // One job per thread, so any `width` waiting jobs can
+                // meet at the barrier.
+                std::thread::scope(|s| {
+                    for _ in 0..8 {
+                        s.spawn(|| {
+                            gate.run(|| {
+                                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                                most.fetch_max(now, Ordering::SeqCst);
+                                full.wait();
+                                inside.fetch_sub(1, Ordering::SeqCst);
+                            });
+                        });
+                    }
+                });
+                most.into_inner()
+            });
+            assert_eq!(most, width, "width {width}");
+        }
+    }
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// returned within ten seconds (a lost wake-up, in the gate or a
+    /// blocked `accept`, would otherwise stall the whole suite).
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(out) => out,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("not finished within the deadline"),
+            // `f` panicked: fail with its panic.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(helper.join().expect_err("the helper panicked"))
+            }
+        }
+    }
+
+    fn server_on(addr: &str) -> Server {
+        Server::start(ServerConfig {
+            addr: addr.to_string(),
+            threads: 2,
+        })
+        .expect("bind")
+    }
 
     fn request(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
         stream.write_all(line.as_bytes()).unwrap();
@@ -277,36 +443,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn serves_a_round_trip_and_shuts_down() {
-        let mut server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-        })
-        .expect("bind");
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+    fn server_info(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>) {
         let info = request(
-            &mut stream,
-            &mut reader,
+            stream,
+            reader,
             r#"{"jsonrpc":"2.0","id":1,"method":"server_info","params":{}}"#,
         );
         assert!(info.contains(r#""name":"edb-serve""#), "{info}");
-        let bye = request(
-            &mut stream,
-            &mut reader,
-            r#"{"jsonrpc":"2.0","id":2,"method":"shutdown","params":{}}"#,
-        );
-        assert!(bye.contains(r#""ok":true"#), "{bye}");
-        server.wait();
+    }
+
+    /// The `shutdown` RPC ends [`Server::wait`].
+    #[test]
+    fn serves_a_round_trip_and_shuts_down() {
+        within(|| {
+            let mut server = server_on("127.0.0.1:0");
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            server_info(&mut stream, &mut reader);
+            let bye = request(
+                &mut stream,
+                &mut reader,
+                r#"{"jsonrpc":"2.0","id":2,"method":"shutdown","params":{}}"#,
+            );
+            assert!(bye.contains(r#""ok":true"#), "{bye}");
+            server.wait();
+        });
+    }
+
+    #[test]
+    fn stops_with_no_client_ever_connected() {
+        within(|| server_on("127.0.0.1:0").stop());
+    }
+
+    #[test]
+    fn stops_with_an_idle_client_connected() {
+        within(|| {
+            let (mut server, mut stream, mut reader) = start_server();
+            server_info(&mut stream, &mut reader);
+            server.stop();
+            // The connection was closed from the server's side.
+            let mut rest = String::new();
+            assert_eq!(reader.read_line(&mut rest).unwrap_or(0), 0, "{rest}");
+        });
+    }
+
+    /// A listener on every interface is still woken through loopback.
+    #[test]
+    fn stops_when_bound_to_every_interface() {
+        within(|| {
+            let mut server = server_on("0.0.0.0:0");
+            let port = server.addr().port();
+            let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            server_info(&mut stream, &mut reader);
+            server.stop();
+        });
     }
 
     fn start_server() -> (Server, TcpStream, BufReader<TcpStream>) {
-        let server = Server::start(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-        })
-        .expect("bind");
+        let server = server_on("127.0.0.1:0");
         let stream = TcpStream::connect(server.addr()).expect("connect");
         let reader = BufReader::new(stream.try_clone().unwrap());
         (server, stream, reader)
@@ -318,41 +513,56 @@ mod tests {
         reply.trim().to_string()
     }
 
+    /// Runs `f` on a connection to a fresh server, then drops the
+    /// server, all under the deadline.
+    fn on_a_connection(f: impl FnOnce(&mut TcpStream, &mut BufReader<TcpStream>) + Send + 'static) {
+        within(|| {
+            let (_server, mut stream, mut reader) = start_server();
+            f(&mut stream, &mut reader);
+        });
+    }
+
     /// Intake hardening: truncated JSON gets a typed `-32700` reply and
     /// the connection keeps serving.
     #[test]
     fn truncated_json_gets_a_typed_parse_error() {
-        let (_server, mut stream, mut reader) = start_server();
-        stream
-            .write_all(b"{\"jsonrpc\":\"2.0\",\"id\":7,\"met\n")
-            .unwrap();
-        let reply = read_reply(&mut reader);
-        assert!(reply.contains(r#""code":-32700"#), "{reply}");
-        assert!(reply.contains(r#""id":null"#), "{reply}");
-        // The connection survived: a well-formed request still works.
-        let info = request(
-            &mut stream,
-            &mut reader,
-            r#"{"jsonrpc":"2.0","id":1,"method":"server_info","params":{}}"#,
-        );
-        assert!(info.contains(r#""name":"edb-serve""#), "{info}");
+        on_a_connection(|stream, reader| {
+            stream
+                .write_all(b"{\"jsonrpc\":\"2.0\",\"id\":7,\"met\n")
+                .unwrap();
+            let reply = read_reply(reader);
+            assert!(reply.contains(r#""code":-32700"#), "{reply}");
+            assert!(reply.contains(r#""id":null"#), "{reply}");
+            // The connection survived: a well-formed request still works.
+            server_info(stream, reader);
+        });
+    }
+
+    /// A last request without its newline is served before EOF.
+    #[test]
+    fn serves_an_unterminated_last_line() {
+        on_a_connection(|stream, reader| {
+            stream
+                .write_all(br#"{"jsonrpc":"2.0","id":3,"method":"server_info","params":{}}"#)
+                .unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let reply = read_reply(reader);
+            assert!(reply.contains(r#""id":3"#), "{reply}");
+            assert_eq!(read_reply(reader), "");
+        });
     }
 
     /// Intake hardening: non-UTF-8 garbage gets a typed `-32700` reply
     /// instead of a dropped connection.
     #[test]
     fn garbage_bytes_get_a_typed_parse_error() {
-        let (_server, mut stream, mut reader) = start_server();
-        stream.write_all(&[0xFF, 0xFE, 0x80, 0x92, b'\n']).unwrap();
-        let reply = read_reply(&mut reader);
-        assert!(reply.contains(r#""code":-32700"#), "{reply}");
-        assert!(reply.contains("not valid UTF-8"), "{reply}");
-        let info = request(
-            &mut stream,
-            &mut reader,
-            r#"{"jsonrpc":"2.0","id":1,"method":"server_info","params":{}}"#,
-        );
-        assert!(info.contains(r#""name":"edb-serve""#), "{info}");
+        on_a_connection(|stream, reader| {
+            stream.write_all(&[0xFF, 0xFE, 0x80, 0x92, b'\n']).unwrap();
+            let reply = read_reply(reader);
+            assert!(reply.contains(r#""code":-32700"#), "{reply}");
+            assert!(reply.contains("not valid UTF-8"), "{reply}");
+            server_info(stream, reader);
+        });
     }
 
     /// Intake hardening: a request line over [`MAX_LINE_BYTES`] gets a
@@ -360,19 +570,15 @@ mod tests {
     /// request is served normally.
     #[test]
     fn over_limit_line_is_bounded_and_replied() {
-        let (_server, mut stream, mut reader) = start_server();
-        let mut big = String::from(r#"{"jsonrpc":"2.0","id":9,"method":""#);
-        big.push_str(&"x".repeat(MAX_LINE_BYTES + 1024));
-        big.push_str("\"}\n");
-        stream.write_all(big.as_bytes()).unwrap();
-        let reply = read_reply(&mut reader);
-        assert!(reply.contains(r#""code":-32700"#), "{reply}");
-        assert!(reply.contains("exceeds"), "{reply}");
-        let info = request(
-            &mut stream,
-            &mut reader,
-            r#"{"jsonrpc":"2.0","id":1,"method":"server_info","params":{}}"#,
-        );
-        assert!(info.contains(r#""name":"edb-serve""#), "{info}");
+        on_a_connection(|stream, reader| {
+            let mut big = String::from(r#"{"jsonrpc":"2.0","id":9,"method":""#);
+            big.push_str(&"x".repeat(MAX_LINE_BYTES + 1024));
+            big.push_str("\"}\n");
+            stream.write_all(big.as_bytes()).unwrap();
+            let reply = read_reply(reader);
+            assert!(reply.contains(r#""code":-32700"#), "{reply}");
+            assert!(reply.contains("exceeds"), "{reply}");
+            server_info(stream, reader);
+        });
     }
 }

@@ -13,7 +13,7 @@
 //! bytes (notifications first, response last — exactly as the server
 //! frames them). Because the server is deterministic, replaying the
 //! golden transcript must reproduce every `<` line byte-identically,
-//! at any worker-pool width. CI's `serve-smoke` job holds the server
+//! at any `--threads` width. CI's `serve-smoke` job holds the server
 //! to that, and [`ReplayReport`] renders the diff when it fails.
 
 use crate::client::Client;

@@ -1,10 +1,14 @@
 //! Sixteen concurrent sessions on one server: every connection gets its
 //! own isolated device, per-session state never bleeds across
 //! connections, and event notifications only ever carry the session the
-//! connection subscribed to.
+//! connection subscribed to. And at `--threads 1`, two connections that
+//! interleave their requests both run to completion, each seeing the
+//! bytes it would see alone.
 
 use serde::Value;
 use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
 
 use edb_serve::rpc::{obj, required};
 use edb_serve::{Client, Server, ServerConfig};
@@ -119,5 +123,107 @@ fn sixteen_sessions_stay_isolated() {
                 "session {session} received an event for session {tagged}"
             );
         }
+    }
+}
+
+/// Connection `index`'s request lines: `create` (the first line), then
+/// `status`/`write`/`read` rounds with one `run_until` midway.
+fn script(index: u64) -> Vec<String> {
+    let mut lines = vec![format!(
+        r#"{{"jsonrpc":"2.0","id":1,"method":"create","params":{{"firmware":"assert","seed":{},"harvester":{{"voc":3.2,"r":220.0}},"wait_session_ms":2000}}}}"#,
+        100 + index
+    )];
+    for round in 0..12u64 {
+        let id = 10 * round + 2;
+        let value = 0xA000 + 0x100 * index + round;
+        lines.push(format!(
+            r#"{{"jsonrpc":"2.0","id":{id},"method":"status","params":{{}}}}"#
+        ));
+        lines.push(format!(
+            r#"{{"jsonrpc":"2.0","id":{},"method":"write","params":{{"addr":24832,"value":{value}}}}}"#,
+            id + 1
+        ));
+        lines.push(format!(
+            r#"{{"jsonrpc":"2.0","id":{},"method":"read","params":{{"addr":24832}}}}"#,
+            id + 2
+        ));
+        if round == 6 {
+            lines.push(format!(
+                r#"{{"jsonrpc":"2.0","id":{},"method":"run_until","params":{{"ms":2}}}}"#,
+                id + 3
+            ));
+        }
+    }
+    lines
+}
+
+/// Sends `lines` in order and returns every reply line.
+fn exchange(client: &mut Client, lines: &[String]) -> Vec<String> {
+    lines
+        .iter()
+        .flat_map(|line| client.exchange_line(line).expect("request answered"))
+        .collect()
+}
+
+/// Both connections' reply streams at `--threads 1`: the sessions are
+/// created in a fixed order, then the rest of the two scripts runs one
+/// after the other or at once.
+fn two_connections(together: bool) -> [Vec<String>; 2] {
+    let mut server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+    })
+    .expect("server starts");
+    let mut clients = [0, 1].map(|_| Client::connect(server.addr()).expect("client connects"));
+    let scripts = [script(0), script(1)];
+    let mut replies = [0, 1].map(|k| exchange(&mut clients[k], &scripts[k][..1]));
+    let rests: Vec<Vec<String>> = if together {
+        std::thread::scope(|s| {
+            let runs: Vec<_> = clients
+                .iter_mut()
+                .zip(&scripts)
+                .map(|(client, lines)| s.spawn(move || exchange(client, &lines[1..])))
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().expect("connection finishes"))
+                .collect()
+        })
+    } else {
+        clients
+            .iter_mut()
+            .zip(&scripts)
+            .map(|(client, lines)| exchange(client, &lines[1..]))
+            .collect()
+    };
+    for (reply, rest) in replies.iter_mut().zip(rests) {
+        reply.extend(rest);
+    }
+    drop(clients);
+    server.stop();
+    replies
+}
+
+/// One permit is shared fairly enough that neither connection starves,
+/// and sharing it changes no byte either connection sees.
+#[test]
+fn one_permit_serves_two_interleaved_connections() {
+    let (tx, rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send((two_connections(false), two_connections(true)));
+    });
+    let (alone, together) = match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(streams) => streams,
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("a connection did not finish in time"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(helper.join().expect_err("the helper panicked"))
+        }
+    };
+    for (index, (alone, together)) in alone.iter().zip(&together).enumerate() {
+        assert!(
+            alone.iter().any(|line| line.contains(r#""value":"#))
+                && !alone.iter().any(|line| line.contains(r#""error":"#)),
+            "connection {index} did not read and write cleanly: {alone:?}"
+        );
+        assert_eq!(alone, together, "connection {index}'s bytes changed");
     }
 }

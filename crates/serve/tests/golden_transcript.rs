@@ -1,5 +1,5 @@
 //! The checked-in golden transcripts must replay byte-identically, and
-//! the worker-pool width must not leak into any connection's byte
+//! the `--threads` width must not leak into any connection's byte
 //! stream: one connection's replies are a pure function of its request
 //! sequence, whatever else the server is doing.
 
@@ -18,7 +18,7 @@ fn golden(name: &str) -> Transcript {
 }
 
 /// Runs the golden request sequence against a fresh server of the given
-/// pool width and returns the server's actual reply lines.
+/// `--threads` width and returns the server's actual reply lines.
 fn record_with_threads(threads: usize) -> Vec<String> {
     let mut server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
