@@ -212,6 +212,11 @@ pub struct FleetSim {
     /// tags. Tags do not interact while the carrier runs, so the spans
     /// between two reads of tag state go to the fleet as one pass.
     pending: Vec<SimTime>,
+    /// Responders already caught up through a prefix of `pending`, with
+    /// that prefix's length: the next pass skips it for them.
+    caught: Vec<(usize, usize)>,
+    /// Full passes over the tag arrays so far.
+    passes: u64,
     events: Vec<FleetEvent>,
 }
 
@@ -238,6 +243,8 @@ impl FleetSim {
             slots_left: 0,
             responders: Vec::new(),
             pending: Vec::new(),
+            caught: Vec::new(),
+            passes: 0,
             events: Vec::new(),
         }
     }
@@ -292,7 +299,9 @@ impl FleetSim {
     }
 
     /// One slot, leaving its trailing spans pending: the next slot's
-    /// first read of tag state applies them together with its own.
+    /// first read of tag state applies them together with its own. The
+    /// slot's one full pass runs before it opens (or is its round's);
+    /// a reply catches up its responders alone.
     fn arbitrate_slot(&mut self) {
         if !self.round_open || self.slots_left == 0 {
             self.open_round();
@@ -325,7 +334,7 @@ impl FleetSim {
                 self.advance(air);
                 let p = self.config.corrupt_probability(self.distances[i]);
                 let corrupt = self.fleet.draw_unit(i) < p;
-                self.flush();
+                self.catch_up(&responders);
                 self.fleet.complete_reply(i, air, !corrupt);
                 if corrupt {
                     SlotOutcome::Corrupt
@@ -340,7 +349,7 @@ impl FleetSim {
                 let air = self.config.timing.air_time(RN16_BYTES);
                 self.advance(air);
                 self.advance(self.config.timing.empty_slot_timeout);
-                self.flush();
+                self.catch_up(&responders);
                 let q = self.reader.q();
                 for &i in &responders {
                     self.fleet.complete_reply(i, air, false);
@@ -397,12 +406,25 @@ impl FleetSim {
         self.now = SimTime::from_ns(self.now.as_ns() + span.as_ns());
     }
 
-    /// Applies the pending spans to every tag, in one pass.
+    /// Applies the pending spans to every tag, in one pass; a caught-up
+    /// responder gets only the spans it has not had.
     fn flush(&mut self) {
         if !self.pending.is_empty() {
-            self.fleet.advance_spans(&self.pending);
+            self.fleet.advance_spans_past(&self.pending, &self.caught);
             self.pending.clear();
+            self.caught.clear();
+            self.passes += 1;
         }
+    }
+
+    /// Applies the pending spans to `responders` alone, so a reply reads
+    /// their state without a pass over the fleet. Each responder is
+    /// caught up once per pass: a slot opens only after a flush.
+    fn catch_up(&mut self, responders: &[usize]) {
+        debug_assert!(self.caught.is_empty(), "responders caught up twice");
+        self.fleet.catch_up(responders, &self.pending);
+        let done = self.pending.len();
+        self.caught.extend(responders.iter().map(|&i| (i, done)));
     }
 
     /// Snapshot of one tag by *global* index (None when the tag lives
@@ -753,6 +775,27 @@ mod tests {
             };
             assert!(t >= last);
             last = t;
+        }
+    }
+
+    #[test]
+    fn every_slot_costs_one_full_pass() {
+        // Most slots of these cells are singles or collisions, whose
+        // replies read the responders' state mid-slot.
+        for (n, seed) in [(300, 42), (2_000, 7)] {
+            let mut sim = FleetSim::new(FleetConfig::standard(n), seed);
+            sim.run_until(SimTime::from_ms(300));
+            let (passes, rounds) = (sim.passes, sim.reader.stats().rounds);
+            let slots = 1_000;
+            sim.run_slots(slots);
+            let stats = sim.reader.stats();
+            let replies = stats.single_slots + stats.corrupt_slots + stats.collision_slots;
+            assert!(replies > slots / 2, "{n} tags: only {replies} replies");
+            let (passes, rounds) = (sim.passes - passes, stats.rounds - rounds);
+            assert!(
+                passes <= slots + rounds + 1,
+                "{n} tags: {passes} passes for {slots} slots and {rounds} rounds"
+            );
         }
     }
 

@@ -16,6 +16,12 @@
 //! the exact piecewise path ([`rc_time_to`] / [`rc_advance`]) across
 //! the `v_on` turn-on and `v_off` brown-out crossings.
 //!
+//! A tag whose state must be read before the next full pass (a reply's
+//! responders) catches up alone ([`Fleet::catch_up`]), with the same
+//! per-span step the fix-up runs; the next full pass
+//! ([`Fleet::advance_spans_past`]) gives it only the spans it has not
+//! had, so every tag sees each span once.
+//!
 //! Slot bookkeeping costs only the tags that reply. Each tag holds the
 //! *absolute* slot of the round it replies in, and sits in that slot's
 //! intrusive list (a `head` per slot, a `link` per tag). Opening slot
@@ -161,6 +167,20 @@ pub struct Fleet {
     power_cycles: Vec<u32>,
     /// Span-pass scratch: the tags it left for the exact fix-up.
     crossing: Vec<usize>,
+    /// [`advance_spans_past`](Fleet::advance_spans_past) scratch: the
+    /// caught-up tags' state while the full pass runs over them.
+    aside: Vec<TagEnergy>,
+}
+
+/// The per-tag state a carrier span can change.
+#[derive(Debug, Clone, Copy)]
+struct TagEnergy {
+    v_cap: f64,
+    mode: TagMode,
+    slot: u32,
+    inventoried: bool,
+    active_s: f64,
+    power_cycles: u32,
 }
 
 impl Fleet {
@@ -206,6 +226,7 @@ impl Fleet {
             active_s: vec![0.0; n],
             power_cycles: vec![0; n],
             crossing: Vec::new(),
+            aside: Vec::new(),
         }
     }
 
@@ -365,32 +386,99 @@ impl Fleet {
 
     /// The sparse fix-up of [`advance_spans`](Self::advance_spans):
     /// runs every tag the settle pass listed through `steps` one span
-    /// at a time, each by one [`rc_settle`] when it misses its
-    /// threshold and by the exact crossing loop when it may not.
+    /// at a time, each by [`step_tag`](Self::step_tag).
     fn fix_crossings(&mut self, steps: &[(f64, f64)], tau: f64) {
-        let p = self.params;
         for k in 0..self.crossing.len() {
             let i = self.crossing[k];
             for &(dt, decay) in steps {
-                let on = self.mode[i] == TagMode::On;
-                let (i_load, v_target) = if on {
-                    (p.i_listen, p.v_off)
-                } else {
-                    (0.0, p.v_on)
-                };
-                let v = self.v_cap[i];
-                let v_inf = p.v_inf(self.v_oc[i], i_load);
-                let v_end = rc_settle(v, v_inf, decay);
-                if rc_span_misses(v, v_inf, v_target, v_end) {
-                    self.v_cap[i] = v_end;
-                    if on {
-                        self.active_s[i] += dt;
-                    }
-                } else {
-                    self.advance_tag_exact(i, dt, tau);
+                self.step_tag(i, dt, decay, tau);
+            }
+        }
+    }
+
+    /// One span of `dt` seconds and decay factor `decay` for tag `i`
+    /// alone: one [`rc_settle`] when it misses its threshold, the exact
+    /// crossing loop when it may not. The fix-up and
+    /// [`catch_up`](Self::catch_up) both step tags with it, so a tag
+    /// sees the same float operations whichever path it takes.
+    fn step_tag(&mut self, i: usize, dt: f64, decay: f64, tau: f64) {
+        let p = self.params;
+        let on = self.mode[i] == TagMode::On;
+        let (i_load, v_target) = if on {
+            (p.i_listen, p.v_off)
+        } else {
+            (0.0, p.v_on)
+        };
+        let v = self.v_cap[i];
+        let v_inf = p.v_inf(self.v_oc[i], i_load);
+        let v_end = rc_settle(v, v_inf, decay);
+        if rc_span_misses(v, v_inf, v_target, v_end) {
+            self.v_cap[i] = v_end;
+            if on {
+                self.active_s[i] += dt;
+            }
+        } else {
+            self.advance_tag_exact(i, dt, tau);
+        }
+    }
+
+    /// Advances the tags in `tags` alone through `spans`, span by span,
+    /// each span's decay factor computed once: bit for bit what
+    /// [`advance_spans`](Self::advance_spans) gives them. Costs the
+    /// listed tags, not the fleet; the full pass that follows must skip
+    /// these spans for them
+    /// ([`advance_spans_past`](Self::advance_spans_past)).
+    pub fn catch_up(&mut self, tags: &[usize], spans: &[SimTime]) {
+        let tau = self.params.tau();
+        for span in spans {
+            let dt = span.as_secs_f64();
+            if dt > 0.0 {
+                let decay = rc_decay(tau, dt);
+                for &i in tags {
+                    self.step_tag(i, dt, decay, tau);
                 }
             }
         }
+    }
+
+    /// [`advance_spans`](Self::advance_spans) for a fleet some of whose
+    /// tags ran ahead: each `(i, done)` of `caught` names a distinct tag
+    /// that [`catch_up`](Self::catch_up) already took through
+    /// `spans[..done]`, and that gets only `spans[done..]` here. The
+    /// fused pass still runs over every tag with no per-tag check: the
+    /// caught-up tags' state is set aside before it and put back after,
+    /// and they catch up through the rest alone.
+    pub fn advance_spans_past(&mut self, spans: &[SimTime], caught: &[(usize, usize)]) {
+        let mut aside = std::mem::take(&mut self.aside);
+        aside.clear();
+        aside.extend(caught.iter().map(|&(i, _)| self.energy(i)));
+        self.advance_spans(spans);
+        for (&(i, done), &state) in caught.iter().zip(&aside) {
+            self.set_energy(i, state);
+            self.catch_up(&[i], &spans[done..]);
+        }
+        self.aside = aside;
+    }
+
+    /// Everything a span can change of tag `i`.
+    fn energy(&self, i: usize) -> TagEnergy {
+        TagEnergy {
+            v_cap: self.v_cap[i],
+            mode: self.mode[i],
+            slot: self.slot[i],
+            inventoried: self.inventoried[i],
+            active_s: self.active_s[i],
+            power_cycles: self.power_cycles[i],
+        }
+    }
+
+    fn set_energy(&mut self, i: usize, state: TagEnergy) {
+        self.v_cap[i] = state.v_cap;
+        self.mode[i] = state.mode;
+        self.slot[i] = state.slot;
+        self.inventoried[i] = state.inventoried;
+        self.active_s[i] = state.active_s;
+        self.power_cycles[i] = state.power_cycles;
     }
 
     /// Advances tag `i` by `dt` seconds through every threshold it
@@ -759,6 +847,151 @@ mod tests {
             crossings > 1_000,
             "only {crossings} turn-ons: the fallback barely ran"
         );
+    }
+
+    /// A uniform draw in `[0, 1)` from a test's own stream.
+    fn uniform(rng: &mut u64) -> f64 {
+        (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn caught_up_tags_skip_their_spans_bit_for_bit() {
+        // 2 000 seeded runs of 24 tags. Each run opens a one-slot round,
+        // so its un-inventoried powered tags (those with `i % 6` of 2 or
+        // 3) collide in slot 0. Those responders, and the tags with
+        // `i % 6` of 0, 1 or 4, catch up alone through a prefix of 2–6
+        // spans; the skipping pass then runs every tag through all. Tags
+        // `i % 6 == 0` sit within a µV above `v_off` with their load
+        // pulling them below, so they brown out in their own catch-up;
+        // tags `i % 6 == 1` end the prefix just above `v_off`, close
+        // enough that the skipped prefix would cross from there but the
+        // remaining spans do not; tags `i % 6 == 4` turn on in theirs.
+        // In odd runs each responder's reply drains it and a responder
+        // still powered is redrawn between the catch-up and the pass,
+        // and the oracle is `advance_spans` over the prefix and over the
+        // rest around the same replies; in even runs the oracle is one
+        // `advance_spans` over all the spans.
+        const TAGS: usize = 24;
+        let p = params();
+        let tau = p.tau();
+        let decays = |spans: &[SimTime]| -> f64 {
+            spans
+                .iter()
+                .map(|s| rc_decay(tau, s.as_secs_f64()))
+                .product()
+        };
+        let mut rng = 0xCA7C_0B0B_u64;
+        let (mut browned, mut skipped_only, mut redrawn) = (0u32, 0u32, 0u32);
+        for c in 0..2_000 {
+            let n = 2 + c % 5;
+            let done = if c % 7 == 0 { n } else { 1 + c % (n - 1) };
+            // Half the runs end on µs-scale spans, which the tags
+            // `i % 6 == 1` need to cross only in what they skip.
+            let rest_scale: f64 = if c % 4 < 2 { 1e4 } else { 10.0 };
+            let spans: Vec<SimTime> = (0..n)
+                .map(|k| {
+                    let scale = if k < done { 1e4 } else { rest_scale };
+                    SimTime::from_ns((1e3 * scale.powf(uniform(&mut rng))) as u64)
+                })
+                .collect();
+            let (d_prefix, d_rest) = (decays(&spans[..done]), decays(&spans[done..]));
+            let mut fast = Fleet::new(p, 0, TAGS, c as u64, |g| {
+                // Far tags' listening load pulls them below `v_off`.
+                match g % 6 {
+                    0 | 1 => 1.6 + 0.4 * (g as f64 / TAGS as f64),
+                    4 => 0.5,
+                    _ => 0.3 + 1.7 * (g as f64 / TAGS as f64),
+                }
+            });
+            for i in 0..TAGS {
+                let v_inf = p.v_inf(fast.v_oc[i], p.i_listen);
+                let (on, v) = match i % 6 {
+                    0 => (true, p.v_off + 1e-7 + 1e-6 * uniform(&mut rng)),
+                    1 => {
+                        // Ends the prefix `x` above `v_off`: a second
+                        // prefix from there crosses, the rest does not.
+                        let (gap_p, gap_r) = (1.0 / d_prefix - 1.0, 1.0 / d_rest - 1.0);
+                        let x = (p.v_off - v_inf) * (gap_p * gap_r).sqrt();
+                        (true, v_inf + (p.v_off + x - v_inf) / d_prefix)
+                    }
+                    2 | 3 => {
+                        let near = uniform(&mut rng) < 0.5;
+                        let up = if near { 0.06 } else { 1.2 };
+                        (true, p.v_off + up * uniform(&mut rng))
+                    }
+                    4 => (false, p.v_on - 1e-6 * uniform(&mut rng)),
+                    _ => (uniform(&mut rng) < 0.5, 3.0 * uniform(&mut rng)),
+                };
+                fast.mode[i] = if on { TagMode::On } else { TagMode::Off };
+                fast.v_cap[i] = v;
+                // Only tags 2 and 3 (mod 6) reply in the round.
+                fast.inventoried[i] = on && !matches!(i % 6, 2 | 3);
+                fast.power_cycles[i] = (splitmix64(&mut rng) % 4) as u32;
+                fast.active_s[i] = uniform(&mut rng);
+            }
+            fast.begin_round(0);
+            let mut responders = Vec::new();
+            fast.open_slot(&mut responders);
+            assert_eq!(responders.len(), 8, "run {c}");
+            let mut ahead: Vec<usize> = (0..TAGS).filter(|i| i % 6 != 5).collect();
+            let mut exact = fast.clone();
+            let replies = |f: &mut Fleet| {
+                for &i in &responders {
+                    f.complete_reply(i, SimTime::from_us(800), false);
+                    if f.mode[i] == TagMode::On {
+                        f.redraw_after_collision(i, 2);
+                    }
+                }
+            };
+
+            fast.catch_up(&ahead, &spans[..done]);
+            // `exact` still holds the state before the catch-up.
+            browned += ahead
+                .iter()
+                .filter(|&&i| exact.mode[i] == TagMode::On && fast.mode[i] == TagMode::Off)
+                .count() as u32;
+            if c % 2 == 1 {
+                replies(&mut fast);
+                redrawn += responders.iter().filter(|&&i| fast.slot[i] != NONE).count() as u32;
+            }
+            let mut probe = fast.clone();
+            probe.advance_spans(&spans[..done]);
+            let caught: Vec<(usize, usize)> = ahead.iter().map(|&i| (i, done)).collect();
+            let passing = fast.clone();
+            fast.advance_spans_past(&spans, &caught);
+            ahead.retain(|&i| {
+                probe.power_cycles[i] != passing.power_cycles[i]
+                    && fast.power_cycles[i] == passing.power_cycles[i]
+            });
+            skipped_only += ahead.len() as u32;
+
+            if c % 2 == 1 {
+                exact.advance_spans(&spans[..done]);
+                replies(&mut exact);
+                exact.advance_spans(&spans[done..]);
+            } else {
+                exact.advance_spans(&spans);
+            }
+            for i in 0..TAGS {
+                let case = format!("run {c}, spans {spans:?} after {done}, tag {i}");
+                assert_eq!(fast.v_cap[i].to_bits(), exact.v_cap[i].to_bits(), "{case}");
+                assert_eq!(fast.mode[i], exact.mode[i], "{case}");
+                assert_eq!(fast.slot[i], exact.slot[i], "{case}");
+                assert_eq!(fast.inventoried[i], exact.inventoried[i], "{case}");
+                assert_eq!(fast.power_cycles[i], exact.power_cycles[i], "{case}");
+                assert_eq!(
+                    fast.active_s[i].to_bits(),
+                    exact.active_s[i].to_bits(),
+                    "{case}"
+                );
+            }
+        }
+        assert!(browned > 5_000, "only {browned} brown-outs in a catch-up");
+        assert!(
+            skipped_only > 3_000,
+            "only {skipped_only} tags crossed in skipped spans alone"
+        );
+        assert!(redrawn > 3_000, "only {redrawn} redrawn responders");
     }
 
     #[test]

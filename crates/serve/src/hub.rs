@@ -14,7 +14,7 @@
 //! discharge), and [`dispatch`](SessionHub::dispatch) renders every
 //! response and notification with a fixed key order. A scripted
 //! transcript against one connection therefore replays bit-identically
-//! at any worker-pool width.
+//! at any `--threads` width.
 
 use crate::rpc::{
     self, duration, notification_line, obj, param, parse_request, required, RpcError, RpcRequest,
@@ -42,17 +42,17 @@ pub const DEFAULT_EVENT_EXCLUDE: &[&str] = &["energy"];
 /// The most simulated time one request may run a model forward:
 /// `run_until`'s and `fleet_run`'s `ms`, `create`'s `wait_session_ms`,
 /// and how far a `goto_time` target lies past the session clock. A
-/// request runs holding its session's lock and a pool worker, so a
-/// typed-valid far-future request is refused instead of run. Sized
-/// above the 2 s the transcripts, benchmark and tests ask for at most.
-/// Measured at the limit on a 2-core host: a session request answers
-/// in under 0.5 s, `fleet_run` on a 10^5-tag fleet (the largest
-/// `fleet_create` allows) in about 2.7 s.
+/// request runs holding its session's lock and a `--threads` permit,
+/// so a typed-valid far-future request is refused instead of run.
+/// Sized above the 2 s the transcripts, benchmark and tests ask for at
+/// most. Measured at the limit on a 2-core host: a session request
+/// answers in under 0.5 s, `fleet_run` on a 10^5-tag fleet (the largest
+/// `fleet_create` allows) in about 1.6 s.
 pub const SIM_BUDGET: SimTime = SimTime::from_ms(2_500);
 
 /// The most steps one request may take: `step`'s `count` (one quantum
 /// each) and `fleet_run`'s `slots`. Sized above the 400 the tests ask
-/// for at most; 1 000 slots of a 10^5-tag fleet take about 1 s on a
+/// for at most; 1 000 slots of a 10^5-tag fleet take about 0.8 s on a
 /// 2-core host.
 pub const STEP_LIMIT: u64 = 1_000;
 
@@ -780,7 +780,7 @@ fn save(path: Option<&str>, recording: &Recording) -> Result<usize, RpcError> {
 
 /// Reads the client-named recording at `path`: a regular file of at
 /// most `cap` bytes. Anything else (a directory, a device such as
-/// `/dev/zero`, a FIFO that would block the worker) is refused before
+/// `/dev/zero`, a FIFO that would block the connection) is refused before
 /// it is read, and a file that grows past `cap` while it is read stops
 /// there.
 fn read_recording(path: &str, cap: u64) -> Result<Vec<u8>, RpcError> {

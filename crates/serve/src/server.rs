@@ -9,9 +9,11 @@
 //! transcripts deterministic — the server never reorders one client's
 //! requests.
 //!
-//! The accept loop blocks in `accept()`. Whoever stops the server
-//! ([`Server::stop`], or the connection that served `shutdown`) sets
-//! the stop flag and then wakes the loop with one loopback connect.
+//! The accept loop blocks in `accept()`, and on each accept drops the
+//! handles of connection threads that have ended. Whoever stops the
+//! server ([`Server::stop`], or the connection that served `shutdown`)
+//! sets the stop flag and then wakes the loop with one loopback
+//! connect.
 
 use crate::hub::{ConnState, SessionHub};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -160,16 +162,20 @@ impl Server {
                             // the race with shutdown.
                             Ok(_) if stop.is_set() => break,
                             Ok((stream, _)) => {
+                                reap(&mut conns);
                                 let hub = Arc::clone(&hub);
                                 let gate = Arc::clone(&gate);
                                 let stop = Arc::clone(&stop);
-                                let handle = std::thread::Builder::new()
+                                let spawned = std::thread::Builder::new()
                                     .name("edb-serve-conn".to_string())
                                     .spawn(move || {
                                         let _ = serve_connection(stream, &hub, &gate, &stop);
-                                    })
-                                    .expect("spawn connection thread");
-                                conns.push(handle);
+                                    });
+                                // With no thread to serve it, the stream
+                                // is dropped (closed) and the loop goes on.
+                                if let Ok(handle) = spawned {
+                                    conns.push(handle);
+                                }
                             }
                             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                             Err(_) => break,
@@ -219,6 +225,13 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// Drops the handles of connection threads that have ended, which
+/// releases their stacks; kept until shutdown, each ended connection
+/// would hold its stack mapped.
+fn reap(conns: &mut Vec<JoinHandle<()>>) {
+    conns.retain(|handle| !handle.is_finished());
 }
 
 /// Hard cap on one request line, bytes (newline included). A client
@@ -402,6 +415,28 @@ mod tests {
             });
             assert_eq!(most, width, "width {width}");
         }
+    }
+
+    #[test]
+    fn reap_drops_only_ended_connections() {
+        within(|| {
+            let (release, held) = mpsc::channel::<()>();
+            let mut conns = vec![std::thread::spawn(move || {
+                let _ = held.recv();
+            })];
+            conns.extend((0..3).map(|_| std::thread::spawn(|| {})));
+            while !conns[1..].iter().all(JoinHandle::is_finished) {
+                std::thread::yield_now();
+            }
+            reap(&mut conns);
+            assert_eq!(conns.len(), 1, "only the live connection is kept");
+            release.send(()).unwrap();
+            while !conns[0].is_finished() {
+                std::thread::yield_now();
+            }
+            reap(&mut conns);
+            assert!(conns.is_empty(), "an ended connection is dropped");
+        });
     }
 
     /// Runs `f` on a helper thread and fails the test if it has not

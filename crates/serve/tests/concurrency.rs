@@ -5,13 +5,17 @@
 //! interleave their requests both run to completion, each seeing the
 //! bytes it would see alone.
 
+mod common;
+
+use common::within;
 use serde::Value;
 use std::collections::BTreeSet;
-use std::sync::mpsc;
-use std::time::Duration;
 
 use edb_serve::rpc::{obj, required};
 use edb_serve::{Client, Server, ServerConfig};
+
+/// How long one test may take before a stalled server fails it.
+const DEADLINE_S: u64 = 60;
 
 const SESSIONS: u64 = 16;
 
@@ -82,48 +86,50 @@ fn exercise(addr: &str, index: u64) -> (u64, Vec<Value>) {
 
 #[test]
 fn sixteen_sessions_stay_isolated() {
-    let mut server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 4,
-    })
-    .expect("server starts");
-    let addr = server.addr().to_string();
+    within(DEADLINE_S, || {
+        let mut server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 4,
+        })
+        .expect("server starts");
+        let addr = server.addr().to_string();
 
-    let mut handles = Vec::new();
-    for index in 0..SESSIONS {
-        let addr = addr.clone();
-        handles.push(std::thread::spawn(move || exercise(&addr, index)));
-    }
-    let results: Vec<(u64, Vec<Value>)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("connection thread completes"))
-        .collect();
-    server.stop();
-
-    assert_eq!(results.len(), SESSIONS as usize);
-
-    // Distinct sessions, and every notification tagged with the
-    // connection's own session id — no cross-session event leakage.
-    let ids: BTreeSet<u64> = results.iter().map(|(id, _)| *id).collect();
-    assert_eq!(
-        ids.len(),
-        SESSIONS as usize,
-        "session ids collided: {ids:?}"
-    );
-    for (session, notes) in results.iter() {
-        assert!(
-            !notes.is_empty(),
-            "session {session} subscribed from start but saw no events"
-        );
-        for note in notes {
-            let params = note.get_field("params").expect("notification has params");
-            let tagged: u64 = required(params, "session").expect("event carries a session id");
-            assert_eq!(
-                tagged, *session,
-                "session {session} received an event for session {tagged}"
-            );
+        let mut handles = Vec::new();
+        for index in 0..SESSIONS {
+            let addr = addr.clone();
+            handles.push(std::thread::spawn(move || exercise(&addr, index)));
         }
-    }
+        let results: Vec<(u64, Vec<Value>)> = handles
+            .into_iter()
+            .map(|h| h.join().expect("connection thread completes"))
+            .collect();
+        server.stop();
+
+        assert_eq!(results.len(), SESSIONS as usize);
+
+        // Distinct sessions, and every notification tagged with the
+        // connection's own session id — no cross-session event leakage.
+        let ids: BTreeSet<u64> = results.iter().map(|(id, _)| *id).collect();
+        assert_eq!(
+            ids.len(),
+            SESSIONS as usize,
+            "session ids collided: {ids:?}"
+        );
+        for (session, notes) in results.iter() {
+            assert!(
+                !notes.is_empty(),
+                "session {session} subscribed from start but saw no events"
+            );
+            for note in notes {
+                let params = note.get_field("params").expect("notification has params");
+                let tagged: u64 = required(params, "session").expect("event carries a session id");
+                assert_eq!(
+                    tagged, *session,
+                    "session {session} received an event for session {tagged}"
+                );
+            }
+        }
+    });
 }
 
 /// Connection `index`'s request lines: `create` (the first line), then
@@ -207,17 +213,9 @@ fn two_connections(together: bool) -> [Vec<String>; 2] {
 /// and sharing it changes no byte either connection sees.
 #[test]
 fn one_permit_serves_two_interleaved_connections() {
-    let (tx, rx) = mpsc::channel();
-    let helper = std::thread::spawn(move || {
-        let _ = tx.send((two_connections(false), two_connections(true)));
+    let (alone, together) = within(DEADLINE_S, || {
+        (two_connections(false), two_connections(true))
     });
-    let (alone, together) = match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(streams) => streams,
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("a connection did not finish in time"),
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(helper.join().expect_err("the helper panicked"))
-        }
-    };
     for (index, (alone, together)) in alone.iter().zip(&together).enumerate() {
         assert!(
             alone.iter().any(|line| line.contains(r#""value":"#))

@@ -3,7 +3,13 @@
 //! stream: one connection's replies are a pure function of its request
 //! sequence, whatever else the server is doing.
 
+mod common;
+
+use common::within;
 use edb_serve::{Client, Server, ServerConfig, Transcript};
+
+/// How long one test may take before a stalled server fails it.
+const DEADLINE_S: u64 = 120;
 
 /// The debugging walkthrough.
 const WALKTHROUGH: &str = "serve-transcript.txt";
@@ -53,21 +59,25 @@ fn assert_replays(name: &str, threads: usize) {
 
 #[test]
 fn golden_transcript_is_byte_identical_at_one_thread() {
-    assert_replays(WALKTHROUGH, 1);
+    within(DEADLINE_S, || assert_replays(WALKTHROUGH, 1));
 }
 
 #[test]
 fn golden_transcript_is_byte_identical_at_four_threads() {
-    assert_replays(WALKTHROUGH, 4);
+    within(DEADLINE_S, || assert_replays(WALKTHROUGH, 4));
 }
 
 #[test]
 fn hostile_transcript_is_byte_identical_at_one_and_four_threads() {
-    assert_replays(HOSTILE, 1);
-    assert_replays(HOSTILE, 4);
+    within(DEADLINE_S, || {
+        assert_replays(HOSTILE, 1);
+        assert_replays(HOSTILE, 4);
+    });
 }
 
 #[test]
 fn thread_count_does_not_change_the_byte_stream() {
-    assert_eq!(record_with_threads(1), record_with_threads(4));
+    within(DEADLINE_S, || {
+        assert_eq!(record_with_threads(1), record_with_threads(4));
+    });
 }
