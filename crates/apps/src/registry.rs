@@ -78,19 +78,22 @@ pub struct App {
     pub firmware: Firmware,
     /// Where the console runs it.
     pub world: World,
+    /// The firmware, assembled on first use.
+    image: OnceLock<Image>,
 }
 
 impl App {
-    /// The assembled image.
-    pub fn image(&self) -> Image {
-        self.firmware.assemble().expect("bundled apps assemble")
+    /// The assembled image. Each app is assembled once per process, the
+    /// first time its image is asked for.
+    pub fn image(&self) -> &Image {
+        self.image
+            .get_or_init(|| self.firmware.assemble().expect("bundled apps assemble"))
     }
 
     /// The app flashed on a fresh bench in its world.
     pub fn system(&self, seed: u64) -> System {
-        let image = self.image();
         let mut sys = self.world.system(seed);
-        sys.flash(&image);
+        sys.flash(self.image());
         sys
     }
 }
@@ -128,6 +131,7 @@ pub fn apps() -> &'static [App] {
                 about,
                 firmware: Firmware { source, wrap },
                 world,
+                image: OnceLock::new(),
             })
             .collect()
     })
@@ -239,8 +243,17 @@ mod tests {
     #[test]
     fn names_are_unique_and_every_app_assembles() {
         for app in apps() {
-            app.image();
+            let image = app.image();
+            let fresh = app.firmware.assemble().expect("assembles");
+            // Segments and symbols: the whole image.
+            assert!(*image == fresh, "{}: the kept image differs", app.name);
+            assert!(
+                std::ptr::eq(image, app.image()),
+                "{}: assembled twice",
+                app.name
+            );
         }
+        assert_eq!(apps().len(), 13);
         let mut names: Vec<&str> = apps().iter().map(|app| app.name).collect();
         names.sort_unstable();
         names.dedup();

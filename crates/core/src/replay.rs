@@ -37,11 +37,12 @@ use edb_device::DeviceConfig;
 use edb_energy::{
     ConstantCurrent, Fading, SimTime, SolarHarvester, TheveninSource, TraceHarvester,
 };
+use edb_mcu::Image;
 pub use edb_replay::Recording;
 use edb_replay::{digest, CanonicalDigest, Entry, SnapshotState};
 use edb_runtime::ckpt::CkptConfig;
 use serde::{DeError, Deserialize, Serialize, Sink, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
 // The rebuildable session spec
@@ -173,7 +174,7 @@ pub struct Firmware {
 impl Firmware {
     /// The assembled image, wrapped with the `libEDB` runtime first when
     /// `wrap` says so. Assembly failures surface as [`EdbError::Device`].
-    pub fn assemble(&self) -> Result<edb_mcu::Image, EdbError> {
+    pub fn assemble(&self) -> Result<Image, EdbError> {
         let wrapped;
         let source = if self.wrap {
             wrapped = crate::libedb::wrap_program(&self.source);
@@ -317,7 +318,29 @@ impl SessionSpec {
     /// order), flashed with the firmware. Assembly failures surface as
     /// [`EdbError::Device`].
     pub fn build(&self) -> Result<DebugSession, EdbError> {
-        let image = self.firmware.as_ref().map(Firmware::assemble).transpose()?;
+        Ok(self.build_assembled(self.assemble()?.as_ref(), None))
+    }
+
+    /// Builds the session *and* starts recording it with the given
+    /// snapshot stride (full state every `stride` operations; clamped to
+    /// at least 1). The spec is embedded in the tape, so the resulting
+    /// recording replays in a fresh process.
+    pub fn record(&self, stride: u64) -> Result<DebugSession, EdbError> {
+        Ok(self.build_assembled(self.assemble()?.as_ref(), Some(stride)))
+    }
+
+    /// The spec's firmware, assembled.
+    fn assemble(&self) -> Result<Option<Image>, EdbError> {
+        self.firmware.as_ref().map(Firmware::assemble).transpose()
+    }
+
+    /// The one build path under [`build`](SessionSpec::build) and
+    /// [`record`](SessionSpec::record), for a caller that holds the
+    /// firmware already assembled: `image` must be what the spec's
+    /// [`Firmware::assemble`] returns (`None` without firmware). With a
+    /// `stride`, the session records as [`record`](SessionSpec::record)'s
+    /// does.
+    pub fn build_assembled(&self, image: Option<&Image>, stride: Option<u64>) -> DebugSession {
         let mut builder = SystemBuilder::new(self.device)
             .seed(self.seed)
             .edb_config(self.edb);
@@ -332,20 +355,14 @@ impl SessionSpec {
             builder = builder.with_checkpoint_strategy(ckpt);
         }
         let mut sys = builder.build();
-        if let Some(image) = &image {
+        if let Some(image) = image {
             sys.flash(image);
         }
-        Ok(DebugSession::new(sys))
-    }
-
-    /// Builds the session *and* starts recording it with the given
-    /// snapshot stride (full state every `stride` operations; clamped to
-    /// at least 1). The spec is embedded in the tape, so the resulting
-    /// recording replays in a fresh process.
-    pub fn record(&self, stride: u64) -> Result<DebugSession, EdbError> {
-        let mut session = self.build()?;
-        session.start_recording(Some(self), stride);
-        Ok(session)
+        let mut session = DebugSession::new(sys);
+        if let Some(stride) = stride {
+            session.start_recording(Some(self), stride);
+        }
+        session
     }
 }
 
@@ -504,9 +521,20 @@ pub const KEYFRAME_CAP: usize = 8;
 #[derive(Debug)]
 pub(crate) struct Tape {
     spec: Option<Value>,
+    /// The bytes an export holds around the entries
+    /// ([`Recording::envelope_len`]), counted when recording starts.
+    envelope_len: usize,
     stride: u64,
     start_ns: u64,
+    /// Written through [`Tape::push`], cut through [`Tape::truncate`],
+    /// so the lengths and the latest snapshot below follow them.
     entries: Vec<Entry>,
+    /// Each entry's [`Entry::chunk_len`]: an op's or a digest's is
+    /// counted when it is written, a snapshot's on the first export
+    /// count.
+    chunk_lens: Vec<OnceLock<usize>>,
+    /// The index of the latest snapshot entry.
+    last_snapshot: Option<usize>,
     ops_since_boundary: u64,
     /// Restore points between the tape's snapshots, oldest first. They
     /// only shorten time travel and never reach a [`Recording`].
@@ -516,6 +544,42 @@ pub(crate) struct Tape {
     /// When the latest restore point (tape snapshot or keyframe) was
     /// taken; the next keyframe falls due `keyframe_ns` after it.
     restore_ns: u64,
+}
+
+impl Tape {
+    /// Appends `entry` to the tape. An op's or a digest's chunk length
+    /// is counted now; a snapshot's, whose walk is the costly one, waits
+    /// for the first export count, which a tape may never get.
+    fn push(&mut self, entry: Entry) {
+        let len = OnceLock::new();
+        if matches!(entry, Entry::Snapshot { .. }) {
+            self.last_snapshot = Some(self.entries.len());
+        } else {
+            let _ = len.set(entry.chunk_len());
+        }
+        self.entries.push(entry);
+        self.chunk_lens.push(len);
+    }
+
+    /// Cuts the tape back to its first `keep` entries.
+    fn truncate(&mut self, keep: usize) {
+        self.entries.truncate(keep);
+        self.chunk_lens.truncate(keep);
+        if self.last_snapshot.is_some_and(|i| i >= keep) {
+            self.last_snapshot = self
+                .entries
+                .iter()
+                .rposition(|entry| matches!(entry, Entry::Snapshot { .. }));
+        }
+    }
+
+    /// Replaces the op at entry `i` with `op`, and re-counts its chunk.
+    fn replace_op(&mut self, i: usize, op: &SessionOp) {
+        if let Entry::Op { value, .. } = &mut self.entries[i] {
+            *value = op.to_value();
+            self.chunk_lens[i] = OnceLock::from(self.entries[i].chunk_len());
+        }
+    }
 }
 
 /// An in-memory restore point: the session's typed state at `now_ns`
@@ -542,7 +606,7 @@ pub(crate) fn tape_op(session: &mut DebugSession, op: &SessionOp) {
     let now_ns = session.now().as_ns();
     let value = op.to_value();
     let tape = session.tape.as_mut().expect("checked above");
-    tape.entries.push(Entry::Op { now_ns, value });
+    tape.push(Entry::Op { now_ns, value });
 }
 
 /// Marks an operation boundary: counts the op and, every `stride` ops,
@@ -629,7 +693,7 @@ fn push_boundary(session: &mut DebugSession) {
         tape.restore_ns = now_ns;
     }
     tape.ops_since_boundary = 0;
-    tape.entries.push(entry);
+    tape.push(entry);
 }
 
 /// The full session state a tape snapshot holds: the bench. It encodes
@@ -667,18 +731,12 @@ fn snapshot_state(session: &DebugSession) -> Option<SessionState> {
 /// The state of the tape's latest restore point: its last tape snapshot
 /// or, when taken after that, its last keyframe.
 fn latest_state(tape: &Tape) -> Option<&SystemState> {
-    let snapshot = tape
-        .entries
-        .iter()
-        .enumerate()
-        .rev()
-        .find_map(|(i, entry)| match entry {
-            Entry::Snapshot { state, .. } => Some((i, state)),
-            _ => None,
-        });
-    match (snapshot, tape.keyframes.last()) {
-        (Some((i, _)), Some(kf)) if kf.entries > i => Some(&kf.state.0),
-        (Some((_, state)), _) => state.downcast::<SessionState>().map(|s| &s.0),
+    match (tape.last_snapshot, tape.keyframes.last()) {
+        (Some(i), Some(kf)) if kf.entries > i => Some(&kf.state.0),
+        (Some(i), _) => match &tape.entries[i] {
+            Entry::Snapshot { state, .. } => state.downcast::<SessionState>().map(|s| &s.0),
+            _ => unreachable!("the latest snapshot entry is a snapshot"),
+        },
         (None, kf) => kf.map(|kf| &kf.state.0),
     }
 }
@@ -859,11 +917,15 @@ impl DebugSession {
     /// one call); without it, the recording verifies only in-process.
     pub fn start_recording(&mut self, spec: Option<&SessionSpec>, stride: u64) {
         let start_ns = self.now().as_ns();
+        let spec = spec.map(Serialize::to_value);
         self.tape = Some(Tape {
-            spec: spec.map(Serialize::to_value),
+            envelope_len: Recording::envelope_len(spec.as_ref(), true),
+            spec,
             stride: stride.max(1),
             start_ns,
             entries: Vec::new(),
+            chunk_lens: Vec::new(),
+            last_snapshot: None,
             ops_since_boundary: 0,
             keyframes: Vec::new(),
             keyframe_ns: KEYFRAME_NS,
@@ -921,6 +983,27 @@ impl DebugSession {
         })
     }
 
+    /// Counts the recording as it stands without exporting it: `(ops,
+    /// snapshots, bytes)`, where `bytes` is the length of
+    /// [`export_recording`](DebugSession::export_recording)'s
+    /// [`Recording::to_bytes`]. Builds no recording and digests no state
+    /// (the End chunk's length does not depend on its digest); each
+    /// snapshot is measured once, on the first count that meets it.
+    /// `None` when not recording.
+    pub fn count_export(&self) -> Option<(usize, usize, usize)> {
+        let tape = self.tape.as_ref()?;
+        let (mut ops, mut snapshots, mut bytes) = (0, 0, tape.envelope_len);
+        for (entry, len) in tape.entries.iter().zip(&tape.chunk_lens) {
+            match entry {
+                Entry::Op { .. } => ops += 1,
+                Entry::Snapshot { .. } => snapshots += 1,
+                Entry::Digest { .. } => {}
+            }
+            bytes += len.get_or_init(|| entry.chunk_len());
+        }
+        Some((ops, snapshots, bytes))
+    }
+
     /// Travels to simulated time `target`.
     ///
     /// Forward travel is plain [`advance`](DebugSession::advance).
@@ -972,11 +1055,9 @@ impl DebugSession {
         // the snapshot would leave it, then re-execute forward. The
         // re-executed ops re-record, so the tape's entries (and boundary
         // snapshots) regrow exactly as they stood the first time.
-        tape.entries.truncate(travel.keep);
+        tape.truncate(travel.keep);
         for (i, op) in travel.clipped {
-            if let Entry::Op { value, .. } = &mut tape.entries[i] {
-                *value = op.to_value();
-            }
+            tape.replace_op(i, &op);
         }
         tape.keyframes.truncate(travel.keyframes);
         tape.ops_since_boundary = travel.ops_since_boundary;

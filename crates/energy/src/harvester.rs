@@ -18,8 +18,9 @@ use serde::{Deserialize, Serialize};
 /// simulation time, and the integration step.
 ///
 /// `Send` is a supertrait so a bench (and the session hosting it) can
-/// move between threads — the `edb-serve` session server hosts many
-/// benches behind one worker pool.
+/// move between threads — the `edb-serve` session server runs each
+/// request on its connection's thread, so a hosted bench runs on
+/// whichever thread serves the request for it.
 pub trait Harvester: Send {
     /// Current (amps, ≥ 0) delivered into the storage capacitor during the
     /// next `dt` seconds, given the capacitor sits at `v_cap` volts.

@@ -871,14 +871,25 @@ pub struct Recording {
     pub end: Option<(u64, u64)>,
 }
 
-impl Recording {
-    /// The recording's chunks in container order.
-    fn frames(&self) -> impl Iterator<Item = Frame<'_>> {
-        let entries = self.entries.iter().map(|entry| match entry {
+impl Entry {
+    fn frame(&self) -> Frame<'_> {
+        match self {
             Entry::Op { now_ns, value } => Frame::stamped(TAG_OP, *now_ns, value),
             Entry::Snapshot { now_ns, state } => Frame::stamped(TAG_SNAPSHOT, *now_ns, state),
             Entry::Digest { now_ns, digest } => Frame::digest(TAG_DIGEST, *now_ns, *digest),
-        });
+        }
+    }
+
+    /// The bytes this entry's chunk takes in a recording: frame and
+    /// payload, its value counted with [`CanonicalLen`].
+    pub fn chunk_len(&self) -> usize {
+        self.frame().chunk_len()
+    }
+}
+
+impl Recording {
+    /// The recording's chunks in container order.
+    fn frames(&self) -> impl Iterator<Item = Frame<'_>> {
         let end = self
             .end
             .map(|(now_ns, digest)| Frame::digest(TAG_END, now_ns, digest));
@@ -886,13 +897,27 @@ impl Recording {
             .iter()
             .map(Frame::spec)
             .chain([Frame::meta(self.stride, self.start_ns)])
-            .chain(entries)
+            .chain(self.entries.iter().map(Entry::frame))
             .chain(end)
     }
 
-    /// The length of [`Recording::to_bytes`], counted without encoding.
+    /// The bytes a recording takes around its entries: the header, the
+    /// Spec chunk of `spec` (when there is one), the Meta chunk and, when
+    /// `sealed`, the End chunk. None of them depends on the values of
+    /// the stride, the times or the digest, which are fixed-width words.
+    pub fn envelope_len(spec: Option<&Value>, sealed: bool) -> usize {
+        let end = sealed.then(|| Frame::digest(TAG_END, 0, 0));
+        let frames = spec.map(Frame::spec).into_iter();
+        let frames = frames.chain([Frame::meta(0, 0)]).chain(end);
+        HEADER_LEN + frames.map(|frame| frame.chunk_len()).sum::<usize>()
+    }
+
+    /// The length of [`Recording::to_bytes`], counted without encoding:
+    /// the [envelope](Recording::envelope_len) and each entry's
+    /// [`Entry::chunk_len`].
     pub fn encoded_len(&self) -> usize {
-        HEADER_LEN + self.frames().map(|frame| frame.chunk_len()).sum::<usize>()
+        let entries = self.entries.iter().map(Entry::chunk_len).sum::<usize>();
+        Recording::envelope_len(self.spec.as_ref(), self.end.is_some()) + entries
     }
 
     /// Writes the container byte stream to `out` chunk by chunk, and

@@ -478,13 +478,21 @@ impl SessionHub {
             "record_export" => {
                 let path = param(p, "path")?;
                 self.with_session(attached, |s| {
-                    let recording = s
-                        .export_recording()
-                        .ok_or_else(|| RpcError::invalid_request("session is not recording"))?;
+                    let not_recording = || RpcError::invalid_request("session is not recording");
+                    // Without a path only the size is asked for: counted
+                    // from the live tape, nothing exported.
+                    let (ops, snapshots, bytes) = match path {
+                        None => s.count_export().ok_or_else(not_recording)?,
+                        Some(path) => {
+                            let recording = s.export_recording().ok_or_else(not_recording)?;
+                            let bytes = save(Some(path), &recording)?;
+                            (recording.op_count(), recording.snapshot_count(), bytes)
+                        }
+                    };
                     Ok(fields(&[
-                        ("ops", &recording.op_count()),
-                        ("snapshots", &recording.snapshot_count()),
-                        ("bytes", &save(path, &recording)?),
+                        ("ops", &ops),
+                        ("snapshots", &snapshots),
+                        ("bytes", &bytes),
                     ]))
                 })
             }
@@ -639,10 +647,13 @@ impl SessionHub {
     fn create(&self, conn: &mut ConnState, p: &Value) -> MethodResult {
         // A session is built from its rebuildable `SessionSpec`, so the
         // hub can record it: the spec is embedded in the tape and the
-        // recording replays in a fresh process.
-        let firmware = match (param::<&str>(p, "firmware")?, param::<&str>(p, "source")?) {
+        // recording replays in a fresh process. A bundled app comes with
+        // its image, assembled once per process; wire source is assembled
+        // for its own session.
+        let (firmware, bundled) = match (param::<&str>(p, "firmware")?, param::<&str>(p, "source")?)
+        {
             (Some(name), _) => registry::find(name)
-                .map(|app| app.firmware.clone())
+                .map(|app| (app.firmware.clone(), Some(app.image())))
                 .ok_or_else(|| {
                     let names: Vec<&str> = registry::apps().iter().map(|app| app.name).collect();
                     RpcError::invalid_params(format!(
@@ -650,10 +661,13 @@ impl SessionHub {
                         names.join(", ")
                     ))
                 })?,
-            (None, Some(source)) => Firmware {
-                source: String::from(source),
-                wrap: true,
-            },
+            (None, Some(source)) => {
+                let firmware = Firmware {
+                    source: String::from(source),
+                    wrap: true,
+                };
+                (firmware, None)
+            }
             (None, None) => {
                 return Err(RpcError::invalid_params(
                     "need `firmware` (a bundled app's name) or `source` (assembly text)",
@@ -696,11 +710,15 @@ impl SessionHub {
         let wait = wait
             .map(|t| within_sim_budget(t, "`wait_session_ms`"))
             .transpose()?;
-        let mut session = if record {
-            spec.record(stride)
-        } else {
-            spec.build()
-        }?;
+        let assembled;
+        let image = match bundled {
+            Some(image) => image,
+            None => {
+                assembled = spec.firmware.as_ref().expect("set above").assemble()?;
+                &assembled
+            }
+        };
+        let mut session = spec.build_assembled(Some(image), record.then_some(stride));
         let opened = wait.is_some_and(|timeout| session.run_until_session(timeout));
         let sid = self.hub().sessions.insert(session);
         conn.attached = Some(sid);
@@ -1254,6 +1272,35 @@ mod tests {
         );
         assert!(err.contains("error"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bundled_images_build_the_sessions_their_specs_build() {
+        let assert_app = registry::find("assert").expect("bundled");
+        let then = |s: &mut DebugSession| {
+            let _ = s.resume();
+            s.advance(SimTime::from_ms(25));
+            for _ in 0..40 {
+                s.step();
+            }
+            s.system().state_digest()
+        };
+        for seed in [7, 42] {
+            let hub = SessionHub::new();
+            let mut conn = ConnState::new();
+            let params = format!(r#"{{"firmware":"assert","seed":{seed},"wait_session_ms":2000}}"#);
+            let created = call(&hub, &mut conn, 1, "create", &params);
+            assert!(created.contains(r#""session_active":true"#), "{created}");
+            let served = hub.with_session(Some(1), |s| Ok(then(s))).unwrap();
+            let spec = SessionSpec {
+                firmware: Some(assert_app.firmware.clone()),
+                seed,
+                ..SessionSpec::bench("")
+            };
+            let mut built = spec.build().expect("assembles");
+            assert!(built.run_until_session(SimTime::from_ms(2000)));
+            assert_eq!(served, then(&mut built), "seed {seed}");
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use edb_mcu::asm::assemble;
 pub fn run(args: Args) {
     let v_start = args.number("--v-start").unwrap_or(3.0);
     let (name, image) = match (args.app, &args.positional) {
-        (Some(app), _) => (app.name.to_string(), app.image()),
+        (Some(app), _) => (app.name.to_string(), app.image().clone()),
         (None, Some(path)) => {
             let source = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| args.fail(format!("cannot read {path}: {e}")));

@@ -10,17 +10,18 @@
 //! bench snapshot, a session spec and a session op to that round trip.
 
 use edb_replay::{digest, encode, value_bytes, Entry};
-use edb_suite::apps::{activity, fib, linked_list, rfid_fw};
+use edb_suite::apps::{activity, fib, linked_list, registry, rfid_fw};
 use edb_suite::core::replay::{
     FleetOp, FleetSpec, FleetTape, HarvesterSpec, Recording, SessionOp, SessionSpec, WorldSpec,
 };
 use edb_suite::core::FleetConfig;
-use edb_suite::core::{ChannelFaultConfig, DebugRequest, RequestId, System};
+use edb_suite::core::{ChannelFaultConfig, DebugRequest, DebugSession, RequestId, System};
 use edb_suite::device::DeviceConfig;
 use edb_suite::energy::{Fading, Harvester, RfField, SimTime, SolarHarvester, TheveninSource};
 use edb_suite::mcu::Image;
 use edb_suite::runtime::ckpt::{CkptConfig, StrategyKind};
 use serde::{Serialize, Value};
+use std::path::Path;
 
 /// Streaming bytes and digest of `x` equal those of `x.to_value()`.
 fn assert_stream_matches_tree<T: Serialize + ?Sized>(x: &T, what: &str) {
@@ -283,10 +284,25 @@ fn live_tape_snapshots_match_their_reloaded_bytes() {
     assert!(2 * deepest <= edb_replay::MAX_DEPTH, "depth {deepest}");
 }
 
-/// Container nesting depth of a tree (a scalar is 0).
+/// The live tape's count of `session`'s export equals the export's
+/// counted length, its bytes and the file a path export writes, and its
+/// op and snapshot counts.
+fn assert_count_matches_export(session: &DebugSession, path: &Path, what: &str) {
+    let (ops, snapshots, bytes) = session.count_export().expect("recording");
+    let rec = session.export_recording().expect("recording");
+    assert_eq!(bytes, rec.encoded_len(), "{what}: encoded_len");
+    assert_eq!(bytes, rec.to_bytes().len(), "{what}: to_bytes");
+    rec.save(path).expect("saves");
+    let saved = std::fs::metadata(path).expect("saved").len();
+    assert_eq!(saved, bytes as u64, "{what}: saved file");
+    assert_eq!(ops, rec.op_count(), "{what}: ops");
+    assert_eq!(snapshots, rec.snapshot_count(), "{what}: snapshots");
+}
+
 /// One export, four views: the counted length, the bytes in memory, the
 /// bytes streamed to a writer and the file saved to disk agree, for
-/// every kind of recording.
+/// every kind of recording. The live tape's count agrees with them as
+/// the tape grows and as time travel cuts it.
 #[test]
 fn every_export_view_agrees() {
     let live = live_recording();
@@ -334,6 +350,68 @@ fn every_export_view_agrees() {
 
     let dir = std::env::temp_dir().join(format!("edb-export-views-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("counted.edbr");
+
+    // The live count, through a debug episode on the `assert` app. A
+    // stride of 4 puts snapshot boundaries inside the run of steps.
+    let assert_app = registry::find("assert").expect("bundled");
+    let spec = SessionSpec {
+        firmware: Some(assert_app.firmware.clone()),
+        seed: 7,
+        world: WorldSpec::Harvester {
+            spec: HarvesterSpec::Thevenin {
+                v_oc: 3.2,
+                r_src: 220.0,
+            },
+        },
+        ..SessionSpec::bench("")
+    };
+    let mut session = spec.record(4).expect("spec builds");
+    assert_count_matches_export(&session, &path, "after create");
+    assert!(session.run_until_session(SimTime::from_ms(2000)));
+    let _ = session.resume();
+    session.run_until_session(SimTime::from_ms(45));
+    assert_count_matches_export(&session, &path, "after run_until");
+    let mut boundaries = 0;
+    for k in 0..10 {
+        let before = session.count_export().expect("recording").1;
+        session.step();
+        let (_, snapshots, _) = session.count_export().expect("recording");
+        boundaries += usize::from(snapshots > before);
+        assert_count_matches_export(&session, &path, &format!("step {k}"));
+    }
+    assert!(
+        boundaries >= 2,
+        "{boundaries} stride boundaries in 10 steps"
+    );
+    session.step_back(1000).expect("recording");
+    assert_count_matches_export(&session, &path, "after step_back");
+    session.goto_time(SimTime::from_ms(30)).expect("recording");
+    assert_count_matches_export(&session, &path, "after goto_time");
+    let stop = session.reverse_continue().expect("recording");
+    assert!(stop.is_some(), "the boot assert is behind");
+    assert_count_matches_export(&session, &path, "after reverse_continue");
+    // New ops, unlike the ones cut, extend the cut tape past a stride
+    // boundary.
+    let _ = session.perform(DebugRequest::ReadWord { addr: 0x6000 });
+    let _ = session.set_breakpoint(1, Some(2.0));
+    let _ = session.resume();
+    session.advance(SimTime::from_ms(1));
+    assert_count_matches_export(&session, &path, "after new ops on the cut tape");
+    let mut digests_only = SessionSpec {
+        world: WorldSpec::Rfid { distance_m: 1.0 },
+        ..spec.clone()
+    }
+    .record(3)
+    .expect("spec builds");
+    digests_only.advance(SimTime::from_ms(20));
+    let _ = digests_only.perform(DebugRequest::ReadWord { addr: 0x6000 });
+    assert_count_matches_export(&digests_only, &path, "rfid");
+    assert_eq!(digests_only.count_export().map(|c| c.1), Some(0));
+    let mut unrecorded = spec.build().expect("spec builds");
+    unrecorded.advance(SimTime::from_ms(5));
+    assert_eq!(unrecorded.count_export(), None);
+
     let kinds = [
         ("live tape", live),
         ("decoded", decoded),
@@ -365,6 +443,7 @@ fn every_export_view_agrees() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Container nesting depth of a tree (a scalar is 0).
 fn depth(v: &Value) -> usize {
     match v {
         Value::Seq(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
